@@ -2,6 +2,7 @@
 per-row span-sequence invariant, KG stages, and checkpoint/resume."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -94,6 +95,59 @@ def test_adjacency(flagship_out):
     assert adj["subj_id"].is_unique
 
 
+def _sorted_rows(ds, key) -> list[dict]:
+    import pyarrow as pa
+    import ray
+
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+    rows = pa.concat_tables(tables, promote_options="permissive").to_pylist()
+    return sorted(rows, key=key)
+
+
+def test_kg_shuffle_sizing_keeps_output(flagship_out, monkeypatch):
+    """Entities and adjacency from the cluster-sized shuffles equal those of
+    the former fixed 64-way canonicalization and 8-way adjacency shuffles."""
+    from unsupervised_ner_ray.stages import kg
+
+    # the partition count is read on the driver when the plan is built
+    monkeypatch.setattr(kg, "cluster_cpus", lambda: 64)
+    by_eid = lambda r: r["eid"]  # noqa: E731
+    assert _sorted_rows(flagship_out["entities"], by_eid) == _sorted_rows(
+        kg.canonicalize_mentions(flagship_out["mentions"], CFG), by_eid
+    )
+    by_subj = lambda r: r["subj_id"]  # noqa: E731
+    assert _sorted_rows(flagship_out["adjacency"], by_subj) == _sorted_rows(
+        kg.build_adjacency(flagship_out["triples"], reduce_partitions=8), by_subj
+    )
+
+
+def test_link_mentions_vocab_ref(flagship_out):
+    """An explicit vocab_ref links exactly like the built-in vocabulary, and
+    each process builds one linker per vocabulary."""
+    import ray
+
+    from unsupervised_ner_ray.assets import build_vocab
+    from unsupervised_ner_ray.stages import kg
+
+    ref = ray.put(build_vocab())
+    key = lambda r: (r["doc_id"], r["span_idx"], r["surface"], r["etype"])  # noqa: E731
+    unlinked = flagship_out["mentions"].drop_columns(["linked_types", "linked"])
+    assert _sorted_rows(kg.link_mentions(unlinked, vocab_ref=ref), key) == _sorted_rows(
+        flagship_out["mentions"], key
+    )
+    assert kg._linker(ref) is kg._linker(ref)
+    assert kg._linker(None) is kg._linker(None) is not kg._linker(ref)
+
+
+def test_kg_mentions_and_triples_materialized(flagship_out):
+    """run_kg_from_tagged pins mentions and triples, so entities and
+    adjacency reuse them instead of re-exploding (and re-linking)."""
+    from ray.data.dataset import MaterializedDataset
+
+    assert isinstance(flagship_out["mentions"], MaterializedDataset)
+    assert isinstance(flagship_out["triples"], MaterializedDataset)
+
+
 def test_checkpoint_resume(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
@@ -150,23 +204,25 @@ def test_checkpoint_fragment_sharding(ray_session, tmp_path):
 
 def test_join_based_ensemble_matches_fused(ray_session):
     """The join-based dual-pool variant must produce the same tags and
-    triples as the fused single-pass tagger."""
+    triples as the fused single-pass tagger, under the default config and
+    one whose predicate window differs from the default."""
     from unsupervised_ner_ray.pipelines.flagship import docs_dataset_synthetic
     from unsupervised_ner_ray.stages.ner import tag_documents, tag_documents_split
 
-    docs = docs_dataset_synthetic(30, seed=13, parallelism=2)
-    fused = tag_documents(docs, CFG).sort("doc_id").to_pandas()
-    split = tag_documents_split(
-        docs_dataset_synthetic(30, seed=13, parallelism=2), CFG, num_partitions=2
-    ).sort("doc_id").to_pandas()
-    assert list(fused["doc_id"]) == list(split["doc_id"])
-    for i in range(len(fused)):
-        fner = {s["span_idx"]: (list(s["tokens"]), list(s["tags"])) for s in fused["ner"][i]}
-        sner = {s["span_idx"]: (list(s["tokens"]), list(s["tags"])) for s in split["ner"][i]}
-        assert fner == sner, fused["doc_id"][i]
-        ftr = [tuple(sorted(t.items())) for t in fused["triples"][i]]
-        strr = [tuple(sorted(t.items())) for t in split["triples"][i]]
-        assert ftr == strr
+    for cfg in (CFG, replace(CFG, max_predicate_tokens=1)):
+        docs = docs_dataset_synthetic(30, seed=13, parallelism=2)
+        fused = tag_documents(docs, cfg).sort("doc_id").to_pandas()
+        split = tag_documents_split(
+            docs_dataset_synthetic(30, seed=13, parallelism=2), cfg, num_partitions=2
+        ).sort("doc_id").to_pandas()
+        assert list(fused["doc_id"]) == list(split["doc_id"])
+        for i in range(len(fused)):
+            fner = {s["span_idx"]: (list(s["tokens"]), list(s["tags"])) for s in fused["ner"][i]}
+            sner = {s["span_idx"]: (list(s["tokens"]), list(s["tags"])) for s in split["ner"][i]}
+            assert fner == sner, fused["doc_id"][i]
+            ftr = [tuple(sorted(t.items())) for t in fused["triples"][i]]
+            strr = [tuple(sorted(t.items())) for t in split["triples"][i]]
+            assert ftr == strr, (cfg.max_predicate_tokens, fused["doc_id"][i])
 
 
 def test_dataprep_stage_checkpoint_resume(ray_session, tmp_path):

@@ -110,6 +110,51 @@ def pack_sequences(
     return _with_running_sum(ds, order_col, weight_col, bucket, _assign)
 
 
+def _survivors(docs, min_tokens: int):
+    """Stage 1 of the composite: quality >= ``min_tokens`` whitespace
+    tokens, emails/URLs scrubbed, near-dup losers (same-lang
+    consecutive-run components) dropped.  Output: doc_id, lang, n_tokens,
+    clean_text.
+
+    Quality and scrub are one row-local pass over each doc (doc_id is the
+    corpus key, so joining their per-doc outputs back on it would only pay
+    two shuffles for the same rows); the losers leave through one
+    anti-join (left join + null filter)."""
+    from ..stages.dedup import dedup_resolve_runs
+    from ..stages.joins import hash_join
+    from ..stages.textstats import quality_table, scrub_table
+
+    def _doc_cols(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "doc_id": batch.column("doc_id"),
+                "lang": batch.column("lang"),
+                "n_tokens": quality_table(batch).column("n_tokens"),
+                "clean_text": scrub_table(batch).column("clean_text"),
+            }
+        )
+
+    def _dup_rows(df: pd.DataFrame) -> pd.DataFrame:
+        lost = df[~df["keep"]]
+        return pd.DataFrame(
+            {"doc_id": lost["doc_id"].to_numpy().astype(np.int64), "_dup": np.int8(1)}
+        )
+
+    base = docs.map_batches(_doc_cols, batch_format="pyarrow")
+    dropped = dedup_resolve_runs(docs).map_batches(_dup_rows, batch_format="pandas")
+    survivors = hash_join(
+        base, dropped, join_type="left_outer", num_partitions=8, on=("doc_id",)
+    )
+
+    def _filter(df: pd.DataFrame) -> pd.DataFrame:
+        out = df[(df["_dup"].isna()) & (df["n_tokens"] >= min_tokens)].copy()
+        out = out.drop(columns=["_dup"])
+        out["n_tokens"] = out["n_tokens"].astype(np.int64)
+        return out
+
+    return survivors.map_batches(_filter, batch_format="pandas")
+
+
 def run_dataprep(
     docs,
     min_tokens: int = 5,
@@ -120,41 +165,7 @@ def run_dataprep(
     the SQL-checkable face of dedup resolution) -> token-budget cut in
     doc_id order.  Output: doc_id, lang, clean_text, n_tokens, cum_tokens,
     sorted by doc_id."""
-    from ..stages.dedup import dedup_resolve_runs
-    from ..stages.textstats import quality_scores, scrub_pii
-
-    q = quality_scores(docs).select_columns(["doc_id", "n_tokens"])
-    s = scrub_pii(docs).select_columns(["doc_id", "clean_text"])
-    langs = docs.select_columns(["doc_id", "lang"])
-    drop = dedup_resolve_runs(docs)
-
-    def _drop_rows(df: pd.DataFrame) -> pd.DataFrame:
-        keep = df[~df["keep"]]
-        return pd.DataFrame({"doc_id": keep["doc_id"].to_numpy().astype(np.int64)})
-
-    dropped = drop.map_batches(_drop_rows, batch_format="pandas")
-
-    base = langs.join(q, join_type="inner", num_partitions=8, on=("doc_id",)).join(
-        s, join_type="inner", num_partitions=8, on=("doc_id",)
-    )
-    # anti-join the dedup losers via left join + null filter
-    survivors = base.join(
-        dropped.map_batches(
-            lambda df: df.assign(_dup=np.int8(1)), batch_format="pandas"
-        ),
-        join_type="left_outer",
-        num_partitions=8,
-        on=("doc_id",),
-    )
-
-    def _filter(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[(df["_dup"].isna()) & (df["n_tokens"] >= min_tokens)].copy()
-        out = out.drop(columns=["_dup"])
-        out["n_tokens"] = out["n_tokens"].astype(np.int64)
-        return out
-
-    kept = survivors.map_batches(_filter, batch_format="pandas")
-    cut = token_budget_filter(kept, budget=budget)
+    cut = token_budget_filter(_survivors(docs, min_tokens), budget=budget)
     return cut.sort("doc_id").select_columns(
         ["doc_id", "lang", "clean_text", "n_tokens", "cum_tokens"]
     )
@@ -190,8 +201,6 @@ def run_dataprep_checkpointed(
 
     import ray.data as rd
 
-    from ..stages.dedup import dedup_resolve_runs
-    from ..stages.textstats import quality_scores, scrub_pii
     from .checkpoint import atomic_write_parquet, clean_tmp_dirs
 
     os.makedirs(out_root, exist_ok=True)
@@ -222,38 +231,7 @@ def run_dataprep_checkpointed(
     if _done("survivors"):
         skipped.append("survivors")
     else:
-        docs = rd.read_parquet(docs_path)
-        q = quality_scores(docs).select_columns(["doc_id", "n_tokens"])
-        s = scrub_pii(docs).select_columns(["doc_id", "clean_text"])
-        langs = docs.select_columns(["doc_id", "lang"])
-        drop = dedup_resolve_runs(docs)
-
-        def _drop_rows(df: pd.DataFrame) -> pd.DataFrame:
-            keep = df[~df["keep"]]
-            return pd.DataFrame(
-                {"doc_id": keep["doc_id"].to_numpy().astype(np.int64)}
-            )
-
-        dropped = drop.map_batches(_drop_rows, batch_format="pandas")
-        base = langs.join(q, join_type="inner", num_partitions=8, on=("doc_id",)).join(
-            s, join_type="inner", num_partitions=8, on=("doc_id",)
-        )
-        survivors = base.join(
-            dropped.map_batches(
-                lambda df: df.assign(_dup=np.int8(1)), batch_format="pandas"
-            ),
-            join_type="left_outer",
-            num_partitions=8,
-            on=("doc_id",),
-        )
-
-        def _filter(df: pd.DataFrame) -> pd.DataFrame:
-            out = df[(df["_dup"].isna()) & (df["n_tokens"] >= min_tokens)].copy()
-            out = out.drop(columns=["_dup"])
-            out["n_tokens"] = out["n_tokens"].astype(np.int64)
-            return out
-
-        _commit("survivors", survivors.map_batches(_filter, batch_format="pandas"))
+        _commit("survivors", _survivors(rd.read_parquet(docs_path), min_tokens))
         completed.append("survivors")
 
     # stage 2: budget cut, READ FROM the stage-1 parquet (the checkpoint)

@@ -4,10 +4,14 @@ Engine lifecycle (SURVEY.md §3):
 
     read_documents -> NerTagger actor pool (tag + triples + mentions, all
     row-local) -> [tagged-docs sink]
-                -> explode_mentions -> EntityLinker (broadcast join)
+                -> explode_mentions + link (broadcast join in stateless
+                   tasks, per-process vocabulary cache) -> [materialized]
                 -> canonicalize (combiner + salted 2-phase groupby)
-                -> explode_triples -> adjacency (groupby subj_id)
+                -> explode_triples -> [materialized]
+                -> adjacency (groupby subj_id)
                 -> [entities / triples / adjacency sinks]
+
+The KG shuffles use one partition per logical CPU of the cluster.
 
 The checkpointed variant shards by doc_id hash and commits per shard with
 lineage + metrics (pipelines/checkpoint.py).
@@ -21,7 +25,13 @@ import ray.data as rd
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..corpus import make_documents
 from ..sources.io import read_documents
-from ..stages.kg import build_adjacency, canonicalize_mentions, link_mentions
+from ..stages.kg import (
+    build_adjacency,
+    canonicalize_mentions,
+    entity_count_partials,
+    finalize_entity_partials,
+    link_mentions,
+)
 from ..stages.ner import explode_mentions, explode_triples, tag_documents
 
 
@@ -43,16 +53,19 @@ def run_tagging(docs, config: PipelineConfig = DEFAULT_CONFIG, concurrency=None)
 
 
 def run_kg_from_tagged(tagged, config: PipelineConfig = DEFAULT_CONFIG) -> dict:
-    """tagged docs -> {mentions, entities, triples, adjacency} Datasets (lazy)."""
-    mentions = link_mentions(explode_mentions(tagged))
-    entities = canonicalize_mentions(mentions, config)
-    triples = explode_triples(tagged)
-    adjacency = build_adjacency(triples)
+    """tagged docs -> {mentions, entities, triples, adjacency} Datasets.
+
+    ``mentions`` and ``triples`` are materialized here: each feeds two
+    consumers (the caller's sink and entities / adjacency), and a lazy one
+    would explode (and link) the tagged docs once per consumer.  Entities
+    and adjacency stay lazy."""
+    mentions = link_mentions(explode_mentions(tagged)).materialize()
+    triples = explode_triples(tagged).materialize()
     return {
         "mentions": mentions,
-        "entities": entities,
+        "entities": canonicalize_mentions(mentions, config),
         "triples": triples,
-        "adjacency": adjacency,
+        "adjacency": build_adjacency(triples),
     }
 
 
@@ -137,16 +150,12 @@ def run_flagship_checkpointed(
         # re-tagging this shard (pipelines/incremental.py).  The partials
         # are key-bounded — materializing them pins a table orders of
         # magnitude smaller than the corpus — and entities finalize FROM
-        # them, so the mention pipeline still runs exactly once.
-        from ..stages.kg import entity_count_partials, finalize_entity_partials
-
+        # them, so the mention pipeline still runs exactly once.  Triples
+        # feed both their sink and adjacency: materialized once, so the
+        # tagged docs are exploded once.
         mentions = link_mentions(explode_mentions(tagged))
         partials = entity_count_partials(mentions, config).materialize()
-        kg = {
-            "entities": finalize_entity_partials(partials),
-            "triples": explode_triples(tagged),
-        }
-        kg["adjacency"] = build_adjacency(kg["triples"])
+        triples = explode_triples(tagged).materialize()
 
         # operational metrics for the shard's manifest record (lineage +
         # metrics per partition, north_rule)
@@ -172,10 +181,10 @@ def run_flagship_checkpointed(
         cnt = tagged.map_batches(_counts, batch_format="pyarrow").to_pandas().sum()
         return {
             "tagged": tagged,
-            "entities": kg["entities"],
+            "entities": finalize_entity_partials(partials),
             "entity_partials": partials,
-            "triples": kg["triples"],
-            "adjacency": kg["adjacency"],
+            "triples": triples,
+            "adjacency": build_adjacency(triples),
             "__metrics__": {
                 "sentences": int(cnt["sentences"]),
                 "quarantined": int(cnt["quarantined"]),

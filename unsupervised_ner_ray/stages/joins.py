@@ -40,6 +40,43 @@ from ..sources.io import read_sf
 from .relational import _to_cents
 
 
+def hash_join(left, right, join_type: str, num_partitions: int, on, right_on=None):
+    """``Dataset.join`` whose hash-shuffle aggregators fit the cluster.
+
+    Ray 2.49 reserves ``memory`` for every join aggregator from a default
+    estimate of 128 MiB per partition, whatever the data size: ~0.9 GiB per
+    aggregator, held until the plan finishes.  A 16-partition join then
+    asks for 14 GiB and never starts on a node with less, and joins chained
+    in one plan add up their reservations (three 8-partition joins: 21 GiB).
+    Ray's CPU rule (half the cluster, at most one CPU per aggregator) lets
+    a 2-partition join hold 2 of 4 CPUs for the whole plan; with two actor
+    pools feeding it, no CPU is left for the plan's tasks.  Here one join's
+    aggregators together reserve at most a quarter of the cluster's memory
+    and a quarter of its CPUs.
+    """
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    n_aggs = min(
+        num_partitions,
+        ctx.max_hash_shuffle_aggregators or ctx.default_hash_shuffle_parallelism,
+    )
+    res = ray.cluster_resources()
+    args = {
+        "num_cpus": min(1.0, res.get("CPU", 1) / 4 / n_aggs),
+        "memory": int(res.get("memory", 0) / 4 / n_aggs),
+        "scheduling_strategy": "SPREAD",
+    }
+    return left.join(
+        right,
+        join_type=join_type,
+        num_partitions=num_partitions,
+        on=on,
+        right_on=right_on,
+        aggregator_ray_remote_args=args,
+    )
+
+
 def q_order_lineitem_join(sf_dir: str, num_partitions: int = 16):
     """Per-order revenue vs order header: combiner groupby on lineitem,
     then a hash-partitioned inner join to orders."""
@@ -68,7 +105,8 @@ def q_order_lineitem_join(sf_dir: str, num_partitions: int = 16):
         ),
         batch_format="pyarrow",
     )
-    joined = per_order.join(
+    joined = hash_join(
+        per_order,
         orders,
         join_type="inner",
         num_partitions=num_partitions,
@@ -1110,7 +1148,8 @@ def skew_join(
     build_cols = [c for c in build.schema().names if c != build_key]
 
     def _plain_join():
-        return probe.join(
+        return hash_join(
+            probe,
             build,
             join_type="inner",
             num_partitions=num_partitions,
@@ -1197,7 +1236,8 @@ def skew_join(
         sel = ~np.isin(k, hot_keys)
         return t.filter(pa.array(sel))
 
-    cold_out = cold_probe.join(
+    cold_out = hash_join(
+        cold_probe,
         build.map_batches(_build_cold, batch_format="pyarrow"),
         join_type="inner",
         num_partitions=num_partitions,

@@ -1,8 +1,10 @@
 """Distributed KG stages: entity linking, canonicalization, adjacency.
 
 Shuffle discipline (SURVEY.md §7):
-* entity linking  — BROADCAST join: the descriptor vocabulary is ray.put once
-                    and read in each actor's __init__; no shuffle.
+* entity linking  — BROADCAST join in stateless map tasks: each worker
+                    process builds (or ray.get's) the descriptor vocabulary
+                    once and caches it per vocab_ref; no shuffle, no actor
+                    pool to start per run.
 * canonicalization— two-phase salted aggregate: a per-batch combiner reduces
                     each batch to distinct (surface_norm, etype) partial
                     counts, a salt column splits head surfaces across
@@ -12,6 +14,10 @@ Shuffle discipline (SURVEY.md §7):
                     unavoidable wide op); each partition is resolved with a
                     single sort + groupby-agg emitting one adjacency row per
                     entity, neighbors sorted deterministically.
+
+The canonicalization shuffles use, and the adjacency shuffle defaults to,
+one partition per logical CPU of the cluster (:func:`cluster_cpus`): a fixed
+64-way fan-out costs ~64 reducer calls per shuffle whatever the input size.
 """
 
 from __future__ import annotations
@@ -69,15 +75,35 @@ class EntityLinker:
         ).append_column("linked", pa.array(u_linked[codes]))
 
 
-def link_mentions(mentions, vocab_ref=None, concurrency: int = 4):
-    """mentions Dataset -> + linked_types/linked columns (broadcast join)."""
+# per-process EntityLinker cache: None (built-in vocabulary) or the
+# vocab_ref's object id -> linker.  Ray keeps idle workers, so a later run's
+# link tasks skip the vocabulary build.
+_LINKERS: dict = {}
+
+
+def _linker(vocab_ref=None) -> EntityLinker:
+    key = None if vocab_ref is None else vocab_ref.binary()
+    if key not in _LINKERS:
+        _LINKERS[key] = EntityLinker(vocab_ref)
+    return _LINKERS[key]
+
+
+def _link_batch(batch: pa.Table, vocab_ref=None) -> pa.Table:
+    return _linker(vocab_ref)(batch)
+
+
+def link_mentions(mentions, vocab_ref=None):
+    """mentions Dataset -> + linked_types/linked columns (broadcast join in
+    stateless tasks, which fuse with the upstream mention explode)."""
     return mentions.map_batches(
-        EntityLinker,
-        fn_constructor_kwargs={"vocab_ref": vocab_ref},
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
-        num_cpus=1,
+        _link_batch, fn_kwargs={"vocab_ref": vocab_ref}, batch_format="pyarrow"
     )
+
+
+def cluster_cpus() -> int:
+    """Logical CPUs of the connected Ray cluster, at least 1 — the default
+    partition count of the KG shuffles."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
 def pagerank(
@@ -665,7 +691,7 @@ def entity_count_partials(
     (surface_norm, etype); a ``salt`` column hash-splits head keys so no
     single reducer sees all partials of a hot surface.
     Phase 2: groupby(surface_norm, salt) merges within salt buckets — a
-    small shuffle over pre-aggregated data.
+    small shuffle over pre-aggregated data, one reducer per cluster CPU.
     """
     salt_buckets = config.canon_salt_buckets
 
@@ -716,7 +742,7 @@ def entity_count_partials(
     from .grouping import partitioned_apply
 
     return partitioned_apply(
-        partials, ["surface_norm", "salt"], _merge_bucket, num_parts=64
+        partials, ["surface_norm", "salt"], _merge_bucket, num_parts=cluster_cpus()
     )
 
 
@@ -731,7 +757,7 @@ def finalize_entity_partials(bucketed):
 
     Output: eid, surface_norm, surface (most frequent raw form), etype
     (majority vote), n_mentions — deterministic at ties by
-    (count desc, value asc).
+    (count desc, value asc).  One reducer per cluster CPU.
     """
     from .grouping import partitioned_apply
 
@@ -773,7 +799,7 @@ def finalize_entity_partials(bucketed):
         out["n_mentions"] = out["n_mentions"].astype(np.int64)
         return out[["eid", "surface_norm", "surface", "etype", "n_mentions"]]
 
-    return partitioned_apply(bucketed, "surface_norm", _finalize, num_parts=64)
+    return partitioned_apply(bucketed, "surface_norm", _finalize, num_parts=cluster_cpus())
 
 
 def canonicalize_mentions(
@@ -866,15 +892,17 @@ def bigram_triples(docs):
     return docs.map_batches(_edges, batch_format="pyarrow")
 
 
-def build_adjacency(triples, reduce_partitions: int = 8):
+def build_adjacency(triples, reduce_partitions: int | None = None):
     """Triples -> adjacency-list graph partitions.
 
     groupby(subj_id) is the one real all-to-all here; neighbor lists are
     sorted (pred, obj_id) for determinism.  Output one row per subject
     entity: subj_id, subj_norm, degree, neighbors list<struct>.
-    ``reduce_partitions`` bounds the shuffle fan-out (scale it with the
-    cluster, not with the tiny per-run block count).
+    ``reduce_partitions`` bounds the shuffle fan-out; it follows the
+    cluster (default: :func:`cluster_cpus`), not the tiny per-run block
+    count.
     """
+    reduce_partitions = reduce_partitions or cluster_cpus()
 
     def _adj_part(part: pd.DataFrame) -> pd.DataFrame:
         # whole-partition resolution: ONE sort orders every subject's

@@ -301,7 +301,10 @@ def tag_documents_split(
         batch_size=config.tagger_batch_size,
         concurrency=(1, max(1, config.tagger_concurrency // 2)),
     )
-    joined = bio.join(
+    from .joins import hash_join
+
+    joined = hash_join(
+        bio,
         phi,
         join_type="inner",
         num_partitions=num_partitions,
@@ -348,7 +351,7 @@ def tag_documents_split(
                         "phi_tags": [v["e"] for v in rp["ner"].values()],
                     }
                 )
-                for t in extract_triples(tokens, tags, DEFAULT_CONFIG.max_predicate_tokens):
+                for t in extract_triples(tokens, tags, config.max_predicate_tokens):
                     triple_r.append({"span_idx": span_idx, **t})
                 for m in extract_entity_spans(tokens, tags):
                     mention_r.append(

@@ -414,7 +414,10 @@ def q_semi_join_bloom(sf_dir: str, status: str = "P"):
         .aggregate(Count(alias_name="_n"))
         .select_columns(["o_custkey"])
     )
-    verified = candidates.join(
+    from .joins import hash_join
+
+    verified = hash_join(
+        candidates,
         matched_keys,
         join_type="inner",
         num_partitions=8,
@@ -468,7 +471,10 @@ def q3_shipping_priority(sf_dir: str, segment_cut: int = 500, num_partitions: in
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderpriority"]
     ).map_batches(OrderFilter, batch_format="pyarrow", concurrency=(1, 2))
 
-    joined = orders.join(
+    from .joins import hash_join
+
+    joined = hash_join(
+        orders,
         per_order,
         join_type="inner",
         num_partitions=num_partitions,

@@ -456,41 +456,42 @@ def quality_scores(docs):
     """Per-doc quality features: token count, stopword count, mean token
     length; ratio = n_stopwords / n_tokens (exact IEEE division, no
     rounding, so the DuckDB oracle hashes identically)."""
+    return docs.map_batches(quality_table, batch_format="pyarrow")
 
-    def _f(batch: pa.Table) -> pa.Table:
-        # fully vectorized: split/flatten on the C path, then three segment
-        # reductions (token count, stopword hits via pc.is_in, codepoint
-        # lengths via pc.utf8_length — identical to Python len()) over the
-        # flattened rows
-        n = len(batch)
-        tok_lists = pc.split_pattern(batch.column("text"), pattern=" ")
-        counts = pc.list_value_length(tok_lists).to_numpy(zero_copy_only=False)
-        flat = pc.list_flatten(tok_lists)
-        ne = pc.not_equal(flat, pa.scalar("")).to_numpy(zero_copy_only=False)
-        doc_idx = np.repeat(np.arange(n), counts)
-        n_tok_a = np.zeros(n, dtype=np.int64)
-        np.add.at(n_tok_a, doc_idx, ne.astype(np.int64))
-        stop = pc.is_in(flat, value_set=pa.array(list(STOPWORDS))).to_numpy(
-            zero_copy_only=False
-        )
-        n_stop_a = np.zeros(n, dtype=np.int64)
-        np.add.at(n_stop_a, doc_idx, (stop & ne).astype(np.int64))
-        ln = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-        sum_len = np.zeros(n, dtype=np.int64)
-        np.add.at(sum_len, doc_idx, np.where(ne, ln, 0).astype(np.int64))
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "n_tokens": pa.array(n_tok_a),
-                "n_stopwords": pa.array(n_stop_a),
-                "sum_token_len": pa.array(sum_len, pa.int64()),
-                "stopword_ratio": pa.array(
-                    np.where(n_tok_a > 0, n_stop_a / np.maximum(n_tok_a, 1), 0.0)
-                ),
-            }
-        )
 
-    return docs.map_batches(_f, batch_format="pyarrow")
+def quality_table(batch: pa.Table) -> pa.Table:
+    """Row-local kernel of :func:`quality_scores`: one output row per doc."""
+    # fully vectorized: split/flatten on the C path, then three segment
+    # reductions (token count, stopword hits via pc.is_in, codepoint
+    # lengths via pc.utf8_length — identical to Python len()) over the
+    # flattened rows
+    n = len(batch)
+    tok_lists = pc.split_pattern(batch.column("text"), pattern=" ")
+    counts = pc.list_value_length(tok_lists).to_numpy(zero_copy_only=False)
+    flat = pc.list_flatten(tok_lists)
+    ne = pc.not_equal(flat, pa.scalar("")).to_numpy(zero_copy_only=False)
+    doc_idx = np.repeat(np.arange(n), counts)
+    n_tok_a = np.zeros(n, dtype=np.int64)
+    np.add.at(n_tok_a, doc_idx, ne.astype(np.int64))
+    stop = pc.is_in(flat, value_set=pa.array(list(STOPWORDS))).to_numpy(
+        zero_copy_only=False
+    )
+    n_stop_a = np.zeros(n, dtype=np.int64)
+    np.add.at(n_stop_a, doc_idx, (stop & ne).astype(np.int64))
+    ln = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
+    sum_len = np.zeros(n, dtype=np.int64)
+    np.add.at(sum_len, doc_idx, np.where(ne, ln, 0).astype(np.int64))
+    return pa.table(
+        {
+            "doc_id": batch.column("doc_id"),
+            "n_tokens": pa.array(n_tok_a),
+            "n_stopwords": pa.array(n_stop_a),
+            "sum_token_len": pa.array(sum_len, pa.int64()),
+            "stopword_ratio": pa.array(
+                np.where(n_tok_a > 0, n_stop_a / np.maximum(n_tok_a, 1), 0.0)
+            ),
+        }
+    )
 
 
 class LangId:
@@ -687,27 +688,28 @@ def scrub_pii(docs):
     URL replacement runs FIRST so an email-shaped substring inside a URL
     query string counts as part of the URL on both engines.
     Output: doc_id, clean_text, n_emails, n_urls."""
+    return docs.map_batches(scrub_table, batch_format="pyarrow")
 
-    def _f(batch: pa.Table) -> pa.Table:
-        text = batch.column("text")
-        no_url = pc.replace_substring_regex(text, pattern=URL_RE, replacement="[URL]")
-        clean = pc.replace_substring_regex(
-            no_url, pattern=EMAIL_RE, replacement="[EMAIL]"
-        )
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "clean_text": pc.cast(clean, pa.string()),
-                "n_emails": pc.cast(
-                    pc.count_substring_regex(no_url, pattern=EMAIL_RE), pa.int64()
-                ),
-                "n_urls": pc.cast(
-                    pc.count_substring_regex(text, pattern=URL_RE), pa.int64()
-                ),
-            }
-        )
 
-    return docs.map_batches(_f, batch_format="pyarrow")
+def scrub_table(batch: pa.Table) -> pa.Table:
+    """Row-local kernel of :func:`scrub_pii`: one output row per doc."""
+    text = batch.column("text")
+    no_url = pc.replace_substring_regex(text, pattern=URL_RE, replacement="[URL]")
+    clean = pc.replace_substring_regex(
+        no_url, pattern=EMAIL_RE, replacement="[EMAIL]"
+    )
+    return pa.table(
+        {
+            "doc_id": batch.column("doc_id"),
+            "clean_text": pc.cast(clean, pa.string()),
+            "n_emails": pc.cast(
+                pc.count_substring_regex(no_url, pattern=EMAIL_RE), pa.int64()
+            ),
+            "n_urls": pc.cast(
+                pc.count_substring_regex(text, pattern=URL_RE), pa.int64()
+            ),
+        }
+    )
 
 
 def repetition_stats(docs):
