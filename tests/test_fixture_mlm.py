@@ -118,28 +118,6 @@ def test_logits_shape_and_special_suppression(bio):
     assert np.all(logits[:, :, :3] <= -1e8)
 
 
-def test_tag_sentence_batched_equals_unbatched(bio):
-    """The tagging core's predict_batch fast path must be semantics-free:
-    tag_sentence over a shim exposing only .predict (forcing the per-span
-    path) matches tag_sentence over the full backend."""
-    from unsupervised_ner_ray.functions.tagger import tag_sentence
-
-    class _PredictOnly:
-        def __init__(self, inner):
-            self._inner = inner
-            self.name = inner.name
-
-        def predict(self, s, p, m):
-            return self._inner.predict(s, p, m)
-
-    emap = build_entity_map()
-    text = "imatinib mesylate:__entity__ eluting stents are used"
-    full = tag_sentence(text, bio, emap)
-    shim = tag_sentence(text, _PredictOnly(bio), emap)
-    assert full["tags"] == shim["tags"]
-    assert full["result"] == shim["result"]
-
-
 def test_default_backends_selector():
     pair = default_backends(scorer_backend="fixture_mlm")
     assert [b.name for b in pair] == ["bio", "phi"]

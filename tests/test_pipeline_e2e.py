@@ -202,27 +202,34 @@ def test_checkpoint_fragment_sharding(ray_session, tmp_path):
     assert len(set(t.column("doc_id").to_pylist())) == 60
 
 
-def test_join_based_ensemble_matches_fused(ray_session):
-    """The join-based dual-pool variant must produce the same tags and
-    triples as the fused single-pass tagger, under the default config and
-    one whose predicate window differs from the default."""
-    from unsupervised_ner_ray.pipelines.flagship import docs_dataset_synthetic
-    from unsupervised_ner_ray.stages.ner import tag_documents, tag_documents_split
+def test_tagger_honours_max_predicate_tokens():
+    """NerTagger passes a non-default predicate window through to triple
+    extraction: its triples equal the oracle's under that config, and some
+    predicate differs from the default-config run."""
+    from unsupervised_ner_ray.oracle import oracle_tag_corpus
+    from unsupervised_ner_ray.stages.ner import NerTagger
 
-    for cfg in (CFG, replace(CFG, max_predicate_tokens=1)):
-        docs = docs_dataset_synthetic(30, seed=13, parallelism=2)
-        fused = tag_documents(docs, cfg).sort("doc_id").to_pandas()
-        split = tag_documents_split(
-            docs_dataset_synthetic(30, seed=13, parallelism=2), cfg, num_partitions=2
-        ).sort("doc_id").to_pandas()
-        assert list(fused["doc_id"]) == list(split["doc_id"])
-        for i in range(len(fused)):
-            fner = {s["span_idx"]: (list(s["tokens"]), list(s["tags"])) for s in fused["ner"][i]}
-            sner = {s["span_idx"]: (list(s["tokens"]), list(s["tags"])) for s in split["ner"][i]}
-            assert fner == sner, fused["doc_id"][i]
-            ftr = [tuple(sorted(t.items())) for t in fused["triples"][i]]
-            strr = [tuple(sorted(t.items())) for t in split["triples"][i]]
-            assert ftr == strr, (cfg.max_predicate_tokens, fused["doc_id"][i])
+    docs = make_documents(30, seed=13)
+
+    def triples(cfg):
+        out = NerTagger(cfg)(docs)
+        return [
+            (doc_id, t["span_idx"], t["subj"], t["pred"], t["obj"])
+            for doc_id, ts in zip(
+                out.column("doc_id").to_pylist(), out.column("triples").to_pylist()
+            )
+            for t in ts
+        ]
+
+    narrow_cfg = replace(CFG, max_predicate_tokens=1)
+    narrow = triples(narrow_cfg)
+    gold = oracle_tag_corpus(docs, narrow_cfg)["triples"]
+    assert narrow == list(
+        zip(gold["doc_id"], gold["span_idx"], gold["subj"], gold["pred"], gold["obj"])
+    )
+    default = triples(CFG)
+    assert len(default) == len(narrow)
+    assert any(d[3] != n[3] for d, n in zip(default, narrow))
 
 
 def test_dataprep_stage_checkpoint_resume(ray_session, tmp_path):

@@ -16,6 +16,12 @@ class _BoomBackend:
             for _ in range(3)
         ]
 
+    def predict_batch(self, masked_sentences, phrases, modes):
+        return [
+            self.predict(s, p, m)
+            for s, p, m in zip(masked_sentences, phrases, modes)
+        ]
+
 
 def test_quarantine_captures_bad_rows(ray_session):
     import ray.data as rd
@@ -55,46 +61,6 @@ def test_quarantine_captures_bad_rows(ray_session):
     assert row["quarantine"][0]["span_idx"] == 1
     assert "RuntimeError" in row["quarantine"][0]["error"]
     assert len(row["spans"]) == 2
-
-
-def test_split_tagger_quarantines_per_model(ray_session):
-    """The join-ensemble variant captures a failing sentence in its model's
-    quarantine envelope instead of failing the task, and the other spans of
-    the document still resolve."""
-    from unsupervised_ner_ray.config import PipelineConfig
-    from unsupervised_ner_ray.stages.ner import SingleModelTagger
-
-    span_t = pa.struct(
-        [
-            ("kind", pa.string()),
-            ("text", pa.large_string()),
-            ("media_ref", pa.string()),
-            ("offset", pa.int32()),
-        ]
-    )
-    table = pa.table(
-        {
-            "doc_id": pa.array(["d0"], pa.string()),
-            "spans": pa.array(
-                [
-                    [
-                        {"kind": "text", "text": "good:__entity__ sentence", "media_ref": "", "offset": 0},
-                        {"kind": "text", "text": "boom:__entity__ here", "media_ref": "", "offset": 1},
-                    ]
-                ],
-                pa.list_(span_t),
-            ),
-        }
-    )
-    tagger = SingleModelTagger("bio", PipelineConfig())
-    tagger.backend = _BoomBackend()
-    out = tagger(table).to_pylist()[0]
-    import json
-
-    env = json.loads(out["bio_results"])
-    assert set(env["r"].keys()) == {"0"}  # good span tagged
-    assert len(env["q"]) == 1 and env["q"][0]["span_idx"] == 1
-    assert "RuntimeError" in env["q"][0]["error"] and env["q"][0]["error"].startswith("bio:")
 
 
 def test_sentence_cache_is_transparent():

@@ -51,7 +51,9 @@ DUMMY_DESC_TERM = "two"
 class ScorerBackend(Protocol):
     name: str
 
-    def predict(self, masked_sentence: str, phrase: str, mode: str) -> list[dict]:
+    def predict_batch(
+        self, masked_sentences: list[str], phrases: list[str], modes: list[str]
+    ) -> list[list[dict]]:
         ...
 
 
@@ -148,6 +150,14 @@ class MockDescriptorBackend:
                 "e_count": "7",
             }
         return descs
+
+    def predict_batch(
+        self, masked_sentences: list[str], phrases: list[str], modes: list[str]
+    ) -> list[list[dict]]:
+        return [
+            self.predict(s, p, m)
+            for s, p, m in zip(masked_sentences, phrases, modes)
+        ]
 
 
 class _BatchedMLMBackend:
@@ -246,8 +256,7 @@ class _BatchedMLMBackend:
     ) -> list[list[dict]]:
         """Batched predict with the per-item numeric short-circuit applied
         first; all remaining items share ONE padded forward pass.  The
-        tagging core routes through this when the backend provides it (model
-        backends), falling back to per-span ``predict`` otherwise."""
+        tagging core scores every sentence through this."""
         out: list = [None] * len(masked_sentences)
         todo = []
         for i, (p, m) in enumerate(zip(phrases, modes)):

@@ -99,18 +99,6 @@ def is_included_in_server_entities(
     return True
 
 
-def strict_is_included_in_server_entities(
-    predictions: list[dict], s_arr: dict, check_first_only: bool = False
-) -> bool:
-    for entity in predictions:
-        e = entity["e"].split("[")[0]
-        if e not in s_arr["precedence"]:
-            return False
-        if check_first_only:
-            return True
-    return True
-
-
 def get_predictions_above_threshold(predictions: dict) -> list[dict]:
     """Prefix of the reverse-sorted distribution with confidence >= mean
     (= 1/len for a probability distribution) (reference :204-228)."""

@@ -62,26 +62,22 @@ def tag_sentence(
         agg.aggregate_entities_v1 if aggregation_variant == "v1"
         else agg.aggregate_entities
     )
-    # model backends expose predict_batch: ALL of this sentence's masked
-    # copies (ci + cs per span) share one padded forward pass — the
-    # reference's batched-service shape (batched_main_NER.py:264-269).
-    # Hash backends (no predict_batch) keep the per-span predict calls.
-    batched: list[list[dict]] | None = None
-    if hasattr(backend, "predict_batch") and masked_sent_arr:
+    # ALL of this sentence's masked copies (ci + cs per span) go to the
+    # backend in one predict_batch call — one padded forward pass for model
+    # backends, the reference's batched-service shape
+    # (batched_main_NER.py:264-269).  A sentence with no masked spans makes
+    # no call, so no empty forward pass runs.
+    batched: list[list[dict]] = []
+    if masked_sent_arr:
         sents, phs, modes = [], [], []
         for i, masked in enumerate(masked_sent_arr):
             sents += [ci_sents[i], " ".join(masked)]
             phs += [phrases[i], phrases[i]]
             modes += ["ci", "cs"]
         batched = backend.predict_batch(sents, phs, modes)
-    for i, masked in enumerate(masked_sent_arr):
-        cs_sentence = " ".join(masked)
-        if batched is not None:
-            ci_descs = batched[2 * i]
-            cs_descs = batched[2 * i + 1]
-        else:
-            ci_descs = backend.predict(ci_sents[i], phrases[i], "ci")
-            cs_descs = backend.predict(cs_sentence, phrases[i], "cs")
+    for i in range(len(masked_sent_arr)):
+        ci_descs = batched[2 * i]
+        cs_descs = batched[2 * i + 1]
         ci_agg = agg_fn(ci_descs, emap, suppress_untagged)
         if len(cs_descs) > 0:
             cs_agg = agg_fn(cs_descs, emap, suppress_untagged)

@@ -35,10 +35,6 @@ from ..stages.kg import (
 from ..stages.ner import explode_mentions, explode_triples, tag_documents
 
 
-def docs_dataset_from_parquet(path: str):
-    return read_documents(path)
-
-
 def docs_dataset_synthetic(n_docs: int, seed: int = 42, parallelism: int = 0):
     table = make_documents(n_docs, seed)
     ds = rd.from_arrow(table)
@@ -47,9 +43,9 @@ def docs_dataset_synthetic(n_docs: int, seed: int = 42, parallelism: int = 0):
     return ds
 
 
-def run_tagging(docs, config: PipelineConfig = DEFAULT_CONFIG, concurrency=None):
+def run_tagging(docs, config: PipelineConfig = DEFAULT_CONFIG):
     """documents -> tagged documents Dataset (lazy)."""
-    return tag_documents(docs, config, concurrency)
+    return tag_documents(docs, config)
 
 
 def run_kg_from_tagged(tagged, config: PipelineConfig = DEFAULT_CONFIG) -> dict:
@@ -69,7 +65,7 @@ def run_kg_from_tagged(tagged, config: PipelineConfig = DEFAULT_CONFIG) -> dict:
     }
 
 
-def run_flagship(docs, config: PipelineConfig = DEFAULT_CONFIG, concurrency=None) -> dict:
+def run_flagship(docs, config: PipelineConfig = DEFAULT_CONFIG) -> dict:
     """Full pipeline over an in-memory/lazy documents Dataset.
 
     The tagged dataset is materialized ONCE (it feeds four consumers: the
@@ -78,21 +74,20 @@ def run_flagship(docs, config: PipelineConfig = DEFAULT_CONFIG, concurrency=None
     checkpointed variant writes tagged docs to the output layout instead and
     reads them back, so nothing large is pinned in the object store.
     """
-    tagged = run_tagging(docs, config, concurrency).materialize()
+    tagged = run_tagging(docs, config).materialize()
     out = {"tagged": tagged}
     out.update(run_kg_from_tagged(tagged, config))
     return out
 
 
 def _shard_filter(shard: int, num_shards: int):
-    """Batch predicate keeping only this shard's documents (stable crc32 of
-    doc_id, same function the manifest layout uses)."""
-    import zlib
+    """Batch predicate keeping only this shard's documents
+    (``checkpoint.shard_of``: stable crc32 of doc_id)."""
+    from .checkpoint import shard_of
 
     def _f(batch):
         ids = batch.column("doc_id").to_pylist()
-        mask = [zlib.crc32(str(d).encode()) % num_shards == shard for d in ids]
-        return batch.filter(mask)
+        return batch.filter([shard_of(d, num_shards) == shard for d in ids])
 
     return _f
 

@@ -1,6 +1,6 @@
 """Ray Data stages for the NER tagging core.
 
-``NerTagger`` is the flagship stateful stage: a callable class used as
+``NerTagger`` is the engine's one tagging stage: a callable class used as
 
     docs.map_batches(NerTagger, batch_format="pyarrow",
                      batch_size=cfg.tagger_batch_size,
@@ -10,9 +10,10 @@ Both model backends + the entity map + vocabulary are built ONCE per actor in
 ``__init__`` (the engine analog of the reference's per-process UnsupNER
 singleton state, /root/reference/batched_main_NER.py:68-87 and
 BatchedNerServer.py:27-29); ``__call__`` tags every text span of every
-document in the batch row-locally.  No shuffle is involved anywhere in
-tagging — a sentence's masked variants, descriptor predictions, pooling and
-BIO emission never leave the row (SURVEY.md §2.5: these are row-local
+document in the batch row-locally, scoring each sentence with both models
+and resolving the ensemble in the same pass.  No shuffle is involved
+anywhere in tagging — a sentence's masked variants, descriptor
+predictions, pooling and BIO emission never leave the row (SURVEY.md §2.5: these are row-local
 computations, not distributed aggregations).
 
 The per-sentence work is irreducibly Python (ordered-dict semantics are the
@@ -37,7 +38,6 @@ import pyarrow as pa
 from ..assets import SERVERS_CONFIG, build_entity_map
 from ..backends import default_backends
 from ..config import DEFAULT_CONFIG, PipelineConfig
-from ..functions import masking
 from ..functions.kg import extract_entity_spans, extract_triples
 from ..functions.tagger import ensemble_tag_sentence
 
@@ -187,7 +187,7 @@ class NerTagger:
         )
 
 
-def tag_documents(docs, config: PipelineConfig = DEFAULT_CONFIG, concurrency: int | None = None):
+def tag_documents(docs, config: PipelineConfig = DEFAULT_CONFIG):
     """documents Dataset -> tagged Dataset (streaming, actor pool)."""
     # autoscaling pool (1, N): never reserves every CPU, so downstream
     # groupby/write tasks aren't starved (a fixed pool == num_cpus would
@@ -197,195 +197,9 @@ def tag_documents(docs, config: PipelineConfig = DEFAULT_CONFIG, concurrency: in
         fn_constructor_kwargs={"config": config},
         batch_format="pyarrow",
         batch_size=config.tagger_batch_size,
-        concurrency=(1, concurrency or config.tagger_concurrency),
+        concurrency=(1, config.tagger_concurrency),
         num_cpus=1,
     )
-
-
-class SingleModelTagger:
-    """One-model tagging stage for the JOIN-BASED ensemble variant.
-
-    The default engine path scores BOTH backends inside one actor pass
-    (NerTagger) — cheaper than two passes + a join on a huge table (SURVEY.md
-    §7.4).  This variant exists for heterogeneous hardware (e.g. the bio
-    model on GPU actors, the base model on CPU actors): each model runs as
-    its own actor pool and the per-document results meet again in a
-    hash-partitioned join keyed on doc_id.
-
-    Output: doc_id, spans, <name>_results: list<struct<span_idx,
-    result_json>> — the per-sentence D13 dict serialized as JSON (ragged
-    position-keyed maps; consumed row-locally by the resolve stage).
-    """
-
-    def __init__(self, model_name: str, config: PipelineConfig = DEFAULT_CONFIG):
-        from ..backends import default_backends
-
-        self.config = config
-        self.emap = build_entity_map()
-        self.backend = [
-            b
-            for b in default_backends(config.top_k_descs, config.scorer_backend)
-            if b.name == model_name
-        ][0]
-        self.model_name = model_name
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import json
-
-        from ..functions.tagger import tag_sentence
-
-        results_col = []
-        spans_json = []
-        for spans in batch.column("spans").to_pylist():
-            row = {}
-            quar = []
-            for span_idx, span in enumerate(spans or []):
-                if span["kind"] != "text" or not span["text"] or not span["text"].strip():
-                    continue
-                try:
-                    res = tag_sentence(
-                        span["text"], self.backend, self.emap,
-                        self.config.suppress_untagged, self.config.common_descs,
-                        self.config.aggregation_variant,
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    # same row-level poison-pill contract as NerTagger: the
-                    # bad sentence rides the quarantine side-channel through
-                    # the join instead of failing the whole job
-                    quar.append(
-                        {
-                            "span_idx": span_idx,
-                            "error": f"{self.model_name}: {type(exc).__name__}: {exc}"[:500],
-                        }
-                    )
-                    continue
-                row[span_idx] = res["result"]
-            results_col.append(json.dumps({"r": row, "q": quar}))
-            if self.model_name == "bio":
-                spans_json.append(json.dumps(spans or []))
-        # nested payloads cross the join as JSON strings: Acero hash joins
-        # reject list<struct> non-key fields, and the payload is consumed
-        # row-locally right after the join anyway
-        cols = {
-            "doc_id": batch.column("doc_id"),
-            f"{self.model_name}_results": pa.array(results_col, pa.large_string()),
-        }
-        if self.model_name == "bio":
-            cols["spans_json"] = pa.array(spans_json, pa.large_string())
-        return pa.table(cols)
-
-
-def tag_documents_split(
-    docs, config: PipelineConfig = DEFAULT_CONFIG, num_partitions: int = 8
-):
-    """Join-based dual-model tagging: two single-model actor pools over the
-    same input, hash-joined on doc_id, then row-local ensemble resolution.
-    Produces the same schema as ``tag_documents`` (minus per-model tag
-    columns' provenance being recomputed from the joined results)."""
-    import json
-
-    from ..assets import SERVERS_CONFIG
-    from ..functions.ensemble import ensemble_processing
-
-    bio = docs.map_batches(
-        SingleModelTagger,
-        fn_constructor_kwargs={"model_name": "bio", "config": config},
-        batch_format="pyarrow",
-        batch_size=config.tagger_batch_size,
-        concurrency=(1, max(1, config.tagger_concurrency // 2)),
-    )
-    phi = docs.map_batches(
-        SingleModelTagger,
-        fn_constructor_kwargs={"model_name": "phi", "config": config},
-        batch_format="pyarrow",
-        batch_size=config.tagger_batch_size,
-        concurrency=(1, max(1, config.tagger_concurrency // 2)),
-    )
-    from .joins import hash_join
-
-    joined = hash_join(
-        bio,
-        phi,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("doc_id",),
-    )
-
-    def _resolve(batch: pa.Table) -> pa.Table:
-        from ..functions.kg import extract_entity_spans, extract_triples
-
-        ner_rows, triple_rows, mention_rows, harvest_rows = [], [], [], []
-        quarantine_rows = []
-        spans_col = []
-        for spans_j, bio_j, phi_j in zip(
-            batch.column("spans_json").to_pylist(),
-            batch.column("bio_results").to_pylist(),
-            batch.column("phi_results").to_pylist(),
-        ):
-            spans = json.loads(spans_j)
-            spans_col.append(spans)
-            bio_env = json.loads(bio_j)
-            phi_env = json.loads(phi_j)
-            bio_by_idx = {int(k): v for k, v in bio_env["r"].items()}
-            phi_by_idx = {int(k): v for k, v in phi_env["r"].items()}
-            quarantine_rows.append(bio_env["q"] + phi_env["q"])
-            ner_r, triple_r, mention_r, harvest_r = [], [], [], []
-            for span_idx in sorted(bio_by_idx):
-                if span_idx not in phi_by_idx:
-                    continue  # quarantined on the phi side
-                rb, rp = bio_by_idx[span_idx], phi_by_idx[span_idx]
-                ens = ensemble_processing([rb, rp], SERVERS_CONFIG)
-                n = len(ens["ensembled_ner"])
-                tags = [ens["ensembled_ner"][str(i + 1)]["e"] for i in range(n)]
-                text = spans[span_idx]["text"]
-                # same tokenization as NerTagger (masking.detect_terms):
-                # marker stripped only from words that END with it — a global
-                # replace would diverge on a mid-word ':__entity__'
-                tokens = [w for w, _ in masking.detect_terms(text)]
-                ner_r.append(
-                    {
-                        "span_idx": span_idx,
-                        "tokens": tokens,
-                        "tags": tags,
-                        "bio_tags": [v["e"] for v in rb["ner"].values()],
-                        "phi_tags": [v["e"] for v in rp["ner"].values()],
-                    }
-                )
-                for t in extract_triples(tokens, tags, config.max_predicate_tokens):
-                    triple_r.append({"span_idx": span_idx, **t})
-                for m in extract_entity_spans(tokens, tags):
-                    mention_r.append(
-                        {"span_idx": span_idx, "surface": m["surface"], "etype": m["etype"]}
-                    )
-                for term, label in rb.get("harvest", []):
-                    harvest_r.append({"term": term, "label": label})
-            ner_rows.append(ner_r)
-            triple_rows.append(triple_r)
-            mention_rows.append(mention_r)
-            harvest_rows.append(harvest_r)
-        span_type = pa.list_(
-            pa.struct(
-                [
-                    ("kind", pa.string()),
-                    ("text", pa.large_string()),
-                    ("media_ref", pa.string()),
-                    ("offset", pa.int32()),
-                ]
-            )
-        )
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "spans": pa.array(spans_col, span_type),
-                "ner": pa.array(ner_rows, pa.list_(NER_STRUCT)),
-                "triples": pa.array(triple_rows, pa.list_(TRIPLE_STRUCT)),
-                "mentions": pa.array(mention_rows, pa.list_(MENTION_STRUCT)),
-                "harvest": pa.array(harvest_rows, pa.list_(HARVEST_STRUCT)),
-                "quarantine": pa.array(quarantine_rows, pa.list_(QUARANTINE_STRUCT)),
-            }
-        )
-
-    return joined.map_batches(_resolve, batch_format="pyarrow")
 
 
 def explode_triples(tagged):
