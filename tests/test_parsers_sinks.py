@@ -1,49 +1,11 @@
-"""Tests for the v1-protocol parsers, normalizers, sinks, and the v1
-aggregation variant (SURVEY.md §2.2 parity)."""
-
-import pytest
+"""Tests for the sinks, the JSONL / Lance sources and the v1 aggregation
+variant (SURVEY.md §2.2 parity)."""
 
 from unsupervised_ner_ray.assets import build_entity_map
-from unsupervised_ner_ray.functions import parsers
 from unsupervised_ner_ray.functions.aggregation import aggregate_entities_v1
 
 EMAP = build_entity_map()
 T = "THERAPEUTIC_OR_PREVENTIVE_PROCEDURE"
-
-
-def test_extract_pos_tsv():
-    text = "echo line\nanother echo\n\n1\tImatinib\tNNP\tx\ty\n2\tis\tVBZ\tx\ty\nbad line\n"
-    rows = parsers.extract_pos_tsv(text)
-    assert rows == [
-        ["1", "Imatinib", "NNP", "x", "y"],
-        ["2", "is", "VBZ", "x", "y"],
-    ]
-
-
-def test_extract_descs_v1():
-    text = "noise\nPIVOT_DESCRIPTORS: drug 0.5 chemical 0.3\nmore"
-    assert parsers.extract_descs_v1(text) == ["drug", "0.5", "chemical", "0.3"]
-    assert parsers.extract_descs_v1("nothing here") == []
-
-
-def test_interleaved_to_descs():
-    out = parsers.interleaved_to_descs(["a", "0.5", "b", "0.25"])
-    assert out == [{"desc": "a", "v": 0.5}, {"desc": "b", "v": 0.25}]
-
-
-def test_normalize_casing():
-    assert parsers.normalize_casing("NEW YOrk a") == "New York a"
-
-
-def test_add_term_punct():
-    assert parsers.add_term_punct("hello world") == "hello world . "
-    assert parsers.add_term_punct("done.") == "done."
-    assert parsers.add_term_punct("x") == "x"
-
-
-def test_gen_ner_output_lines():
-    ner = {"1": {"term": "imatinib", "e": "B_DRUG"}, "2": {"term": "is", "e": "O"}}
-    assert parsers.gen_ner_output_lines(ner) == "imatinib B_DRUG\nis O\n\n"
 
 
 def test_aggregate_entities_v1_fraction_weighting():
@@ -86,7 +48,6 @@ def test_sinks_and_harvest(ray_session, tmp_path):
         explode_harvest,
         unique_lines,
         write_conll,
-        write_ner_output,
     )
 
     cfg = PipelineConfig(tagger_concurrency=2, tagger_batch_size=32)
@@ -97,9 +58,6 @@ def test_sinks_and_harvest(ray_session, tmp_path):
     assert body.endswith("\n\n")
     line = body.splitlines()[0]
     assert len(line.split(" ", 1)) == 2  # "token TAG"
-    nerout = tmp_path / "ner_output.txt"
-    write_ner_output(tagged, str(nerout))
-    assert nerout.read_text().count("\n\n") >= 1
     h = explode_harvest(tagged).to_pandas()
     # the tiny corpus has no blank-context probes -> empty is fine; when
     # rows exist the schema must match

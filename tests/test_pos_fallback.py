@@ -246,3 +246,35 @@ def test_perceptron_config_through_actor_stage(ray_session):
         from unsupervised_ner_ray.stages.ner import NerTagger
 
         NerTagger(PipelineConfig(pos_backend="nope"))
+
+
+def test_oracle_honours_pos_backend():
+    """The single-process oracle tags with the configured POS backend, like
+    NerTagger: under pos_backend='perceptron' their tags agree sentence for
+    sentence on unmarked text, where the perceptron changes some tags."""
+    import pyarrow as pa
+
+    from unsupervised_ner_ray.config import PipelineConfig
+    from unsupervised_ner_ray.oracle import oracle_tag_corpus
+    from unsupervised_ner_ray.stages.ner import NerTagger
+
+    docs = pa.Table.from_pylist(
+        [
+            {
+                "doc_id": f"d{i}",
+                "spans": [{"kind": "text", "text": s, "media_ref": "", "offset": 0}],
+            }
+            for i, s in enumerate(SAMPLE_TEST_SENTENCES)
+        ]
+    )
+
+    def tagger_tags(cfg):
+        return [
+            list(sent["tags"])
+            for ner in NerTagger(cfg)(docs).column("ner").to_pylist()
+            for sent in ner
+        ]
+
+    perc = PipelineConfig(pos_backend="perceptron")
+    assert list(oracle_tag_corpus(docs, perc)["tags"]["tags"]) == tagger_tags(perc)
+    assert tagger_tags(perc) != tagger_tags(PipelineConfig())

@@ -25,7 +25,6 @@ class PipelineConfig:
     # Ray execution knobs
     tagger_batch_size: int = 256
     tagger_concurrency: int = 8
-    num_output_shards: int = 16
     # descriptor-scorer backend: "mock" (hash mock — fastest, the default
     # benchmark path), "fixture_mlm" (real numpy masked-LM forward: the
     # production backend's exact batched/top-k/signature code shape,

@@ -18,6 +18,19 @@ from . import emission, masking
 from .ensemble import ensemble_processing
 
 
+def pos_backend_for(name: str):
+    """``PipelineConfig.pos_backend`` -> the ``pos_backend`` callable of
+    :func:`tag_sentence`: ``None`` for "heuristic" (``detect_terms`` falls
+    back to POS-lite), the trained averaged perceptron for "perceptron"."""
+    if name == "perceptron":
+        from .pos_perceptron import perceptron_pos_terms
+
+        return perceptron_pos_terms
+    if name == "heuristic":
+        return None
+    raise ValueError(f"unknown pos_backend {name!r}")
+
+
 def tag_sentence(
     text: str,
     backend,

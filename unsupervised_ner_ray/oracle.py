@@ -17,7 +17,7 @@ from .assets import build_entity_map
 from .backends import default_backends
 from .config import DEFAULT_CONFIG, PipelineConfig
 from .functions.kg import entity_id, extract_triples, normalize_surface
-from .functions.tagger import ensemble_tag_sentence
+from .functions.tagger import ensemble_tag_sentence, pos_backend_for
 
 
 def oracle_tag_corpus(
@@ -31,6 +31,7 @@ def oracle_tag_corpus(
     """
     emap = build_entity_map()
     backends = default_backends(config.top_k_descs, config.scorer_backend)
+    pos_backend = pos_backend_for(config.pos_backend)
     tag_rows = []
     triple_rows = []
     for row in documents.to_pylist():
@@ -45,6 +46,7 @@ def oracle_tag_corpus(
                 span["text"], backends, emap,
                 config.suppress_untagged, config.common_descs,
                 aggregation_variant=config.aggregation_variant,
+                pos_backend=pos_backend,
             )
             tag_rows.append(
                 {

@@ -115,7 +115,7 @@ def run_flagship_checkpointed(
     input_path: str,
     out_dir: str,
     config: PipelineConfig = DEFAULT_CONFIG,
-    num_shards: int | None = None,
+    num_shards: int = 16,
 ) -> dict:
     """Resumable flagship run: shard -> tag+KG -> atomic write + manifest.
 
@@ -125,7 +125,6 @@ def run_flagship_checkpointed(
     acceptable only at test scale — production layouts are multi-file)."""
     from .checkpoint import run_checkpointed
 
-    num_shards = num_shards or config.num_output_shards
     file_shards = _shard_input_files(input_path, num_shards)
 
     def _run_shard(path: str, shard: int, n: int) -> dict:
@@ -145,11 +144,11 @@ def run_flagship_checkpointed(
         # re-tagging this shard (pipelines/incremental.py).  The partials
         # are key-bounded — materializing them pins a table orders of
         # magnitude smaller than the corpus — and entities finalize FROM
-        # them, so the mention pipeline still runs exactly once.  Triples
-        # feed both their sink and adjacency: materialized once, so the
-        # tagged docs are exploded once.
-        mentions = link_mentions(explode_mentions(tagged))
-        partials = entity_count_partials(mentions, config).materialize()
+        # them, so the mention pipeline still runs exactly once.  Partials
+        # read only surface_norm, surface and etype, so the shard's
+        # mentions are not linked.  Triples feed both their sink and
+        # adjacency: materialized once, so the tagged docs are exploded once.
+        partials = entity_count_partials(explode_mentions(tagged), config).materialize()
         triples = explode_triples(tagged).materialize()
 
         # operational metrics for the shard's manifest record (lineage +

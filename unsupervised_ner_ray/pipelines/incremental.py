@@ -19,9 +19,10 @@ engine must never pay.  Design (VERDICT r4 item 9):
 * Merged views never touch the corpus:
   - :func:`merged_entities` = ``finalize_entity_partials`` over the UNION
     of all generations' partials (key-bounded, tiny next to the corpus);
-  - :func:`merged_adjacency` re-merges the stored per-generation adjacency
-    lists per subject (concat + one deterministic sort inside a hash
-    partition — neighbor lists ship, the corpus does not);
+  - :func:`merged_adjacency` flattens the stored per-generation neighbor
+    lists back into edge rows and rebuilds them with
+    ``stages.kg.build_adjacency`` (neighbor lists ship, the corpus does
+    not);
   - :func:`merged_table` unions any row-level output (triples, tagged)
     by reading every generation's parquet shards.
 
@@ -35,13 +36,12 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
-from ..stages.grouping import partitioned_apply
-from ..stages.kg import finalize_entity_partials
+from ..stages.kg import build_adjacency, finalize_entity_partials
 
 
 def _gen_dirs(out_dir: str) -> list[str]:
@@ -79,7 +79,7 @@ def append_flagship(
     out_dir: str,
     new_input: str,
     config: PipelineConfig = DEFAULT_CONFIG,
-    num_shards: int | None = None,
+    num_shards: int = 16,
 ) -> dict:
     """Tag + KG ONLY the docs at ``new_input``, as a new generation under
     ``out_dir``.  Idempotent on input path: if a generation for this input
@@ -130,46 +130,27 @@ def merged_entities(out_dir: str):
     return finalize_entity_partials(merged_table(out_dir, "entity_partials"))
 
 
-def merged_adjacency(out_dir: str, reduce_partitions: int = 8):
-    """Adjacency over EVERY generation by merging the stored per-generation
-    adjacency lists: hash-partition on subj_id, explode each subject's
-    list rows, one deterministic sort, regroup — identical output contract
-    to stages.kg.build_adjacency over the union triple set (neighbors
-    sorted by (pred, obj_id); duplicates across generations kept, exactly
-    as duplicate triples within one run are kept)."""
-    adj = merged_table(out_dir, "adjacency")
+def merged_adjacency(out_dir: str):
+    """Adjacency over EVERY generation: the stored per-generation neighbor
+    lists flatten back into (subj_id, subj_norm, pred, obj_id, obj_norm)
+    rows and go through :func:`~..stages.kg.build_adjacency` — the same
+    kernel and output contract as the flagship over the union triple set
+    (neighbors sorted by (pred, obj_id); duplicates across generations
+    kept, exactly as duplicate triples within one run are kept)."""
 
-    def _merge(part: pd.DataFrame) -> pd.DataFrame:
-        if part.empty:
-            return pd.DataFrame(
-                {
-                    "subj_id": pd.Series([], dtype=object),
-                    "subj_norm": pd.Series([], dtype=object),
-                    "degree": pd.Series([], dtype="int64"),
-                    "neighbors": pd.Series([], dtype=object),
-                }
-            )
-        flat = part.explode("neighbors", ignore_index=True)
-        nb = pd.DataFrame(list(flat["neighbors"]))
-        flat = pd.concat(
-            [flat[["subj_id", "subj_norm"]], nb], axis=1
-        ).sort_values(
-            ["subj_id", "pred", "obj_id"], kind="mergesort"
-        ).reset_index(drop=True)
-        flat["_n"] = [
-            {"pred": p, "obj_id": oi, "obj_norm": on}
-            for p, oi, on in zip(flat["pred"], flat["obj_id"], flat["obj_norm"])
-        ]
-        out = (
-            flat.groupby("subj_id", sort=True)
-            .agg(
-                subj_norm=("subj_norm", "first"),
-                degree=("pred", "size"),
-                neighbors=("_n", list),
-            )
-            .reset_index()
+    def _flatten(t: pa.Table) -> pa.Table:
+        nb = t.column("neighbors").combine_chunks()
+        parent = pc.list_parent_indices(nb)
+        flat = pc.list_flatten(nb)
+        return pa.table(
+            {
+                "subj_id": t.column("subj_id").take(parent),
+                "subj_norm": t.column("subj_norm").take(parent),
+                "pred": pc.struct_field(flat, "pred"),
+                "obj_id": pc.struct_field(flat, "obj_id"),
+                "obj_norm": pc.struct_field(flat, "obj_norm"),
+            }
         )
-        out["degree"] = out["degree"].astype(np.int64)
-        return out[["subj_id", "subj_norm", "degree", "neighbors"]]
 
-    return partitioned_apply(adj, "subj_id", _merge, num_parts=reduce_partitions)
+    adj = merged_table(out_dir, "adjacency")
+    return build_adjacency(adj.map_batches(_flatten, batch_format="pyarrow"))

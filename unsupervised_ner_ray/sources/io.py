@@ -92,20 +92,6 @@ def unique_lines(path: str, out_path: str) -> int:
     return len(seen)
 
 
-def write_ner_output(tagged_ds, path: str) -> None:
-    """``term e`` lines + blank separator per sentence (the reference's
-    ensemble NER-output sink, aggregate_server_json.py:548-556)."""
-    with open(path, "w") as fp:
-        for batch in tagged_ds.sort("doc_id").iter_batches(
-            batch_size=1024, batch_format="pyarrow"
-        ):
-            for ner in batch.column("ner").to_pylist():
-                for sent in ner or []:
-                    for tok, tag in zip(sent["tokens"], sent["tags"]):
-                        fp.write(f"{tok} {tag}\n")
-                    fp.write("\n")
-
-
 def explode_harvest(tagged_ds):
     """CI-label harvest side output as its own Dataset (term, label) —
     engine analog of algorthimic_ci_tags.txt
@@ -137,14 +123,15 @@ def write_conll(tagged_ds, path: str) -> None:
 
     Driver-side streaming consumption (iter_batches) — the output is a single
     ordered text file, which is inherently a serial sink; used only for
-    small conformance dumps, sorted by (doc_id, span_idx).
+    small conformance dumps, sorted by (doc_id, span_idx).  Each sentence
+    renders through ``emission.to_conll``, like the ``tag-file`` CLI.
     """
+    from ..functions.emission import to_conll
+
     with open(path, "w") as fp:
         for batch in tagged_ds.sort("doc_id").iter_batches(
             batch_size=1024, batch_format="pyarrow"
         ):
             for ner in batch.column("ner").to_pylist():
                 for sent in ner or []:
-                    for tok, tag in zip(sent["tokens"], sent["tags"]):
-                        fp.write(f"{tok} {tag}\n")
-                    fp.write("\n")
+                    fp.write(to_conll(list(zip(sent["tokens"], sent["tags"]))))

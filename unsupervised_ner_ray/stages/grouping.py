@@ -23,23 +23,15 @@ _PART_COL = "__part"
 
 def partitioned_map_groups(ds, keys, fn, num_parts: int = 64):
     """Semantics of ``ds.groupby(keys).map_groups(fn, batch_format="pandas")``
-    with one coarse hash shuffle instead of per-group task dispatch.
+    with one coarse hash shuffle instead of per-group task dispatch: a
+    per-group loop inside :func:`partitioned_apply`.
 
     ``fn`` receives each group as a DataFrame (grouping columns included,
     like map_groups) and returns a DataFrame.
     """
-    if isinstance(keys, str):
-        keys = [keys]
-    keys = list(keys)
-
-    def _tag(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[keys], index=False)
-        df = df.copy()
-        df[_PART_COL] = (h % num_parts).astype("int32")
-        return df
+    keys = [keys] if isinstance(keys, str) else list(keys)
 
     def _apply(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop(columns=[_PART_COL])
         out = [fn(g) for _, g in part.groupby(keys, sort=True)]
         out = [o for o in out if o is not None and len(o)]
         if not out:
@@ -51,23 +43,21 @@ def partitioned_map_groups(ds, keys, fn, num_parts: int = 64):
                 return pd.DataFrame()
         return pd.concat(out, ignore_index=True)
 
-    return (
-        ds.map_batches(_tag, batch_format="pandas")
-        .groupby(_PART_COL)
-        .map_groups(_apply, batch_format="pandas")
-    )
+    return partitioned_apply(ds, keys, _apply, num_parts)
 
 
 def partitioned_apply(ds, keys, fn, num_parts: int = 64):
     """Hash-partition on ``keys`` and call ``fn`` ONCE per partition with the
-    whole partition frame (all groups of a key land in one partition, like
-    :func:`partitioned_map_groups`, but with NO per-group Python dispatch at
-    all — ``fn`` must be vectorized across groups, e.g. groupby-aggregate /
-    sort + drop_duplicates).  This is the right tool when per-group work is
-    itself expressible as frame ops: ``partitioned_map_groups`` still pays
-    ~ms of pandas slicing per group, which dominates once groups number in
-    the tens of thousands (observed: canonicalization finalize 30 s -> 3 s
-    on 17k surface groups)."""
+    whole partition frame (all rows of a key land in one partition; ``fn``
+    does not see the partition column).  The engine's one pandas-hash
+    shuffle: every hash-partitioned stage goes through here, so the
+    partition hash and column are decided in one place.
+
+    ``fn`` should be vectorized across groups, e.g. groupby-aggregate /
+    sort + drop_duplicates: ``partitioned_map_groups`` still pays ~ms of
+    pandas slicing per group, which dominates once groups number in the
+    tens of thousands (observed: canonicalization finalize 30 s -> 3 s on
+    17k surface groups)."""
     if isinstance(keys, str):
         keys = [keys]
     keys = list(keys)

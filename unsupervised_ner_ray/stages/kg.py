@@ -344,6 +344,8 @@ def _pagerank_shuffle_regime(
 
     from ray.data.aggregate import Sum
 
+    from .grouping import partitioned_apply
+
     seeds_ref = ray.put(seeds)
 
     _RANKS = pa.schema(
@@ -409,12 +411,6 @@ def _pagerank_shuffle_regime(
                 "is_w": pa.array(np.zeros(len(t), dtype=np.int8)),
             }
         )
-
-    def _tag_part(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df["key"], index=False)
-        df = df.copy()
-        df["part"] = (h % num_partitions).astype("int32")
-        return df
 
     def _merge_part(g: pd.DataFrame) -> pd.DataFrame:
         voc = g[g["is_w"] == 1]
@@ -485,13 +481,9 @@ def _pagerank_shuffle_regime(
     for _ in range(iters):
         w = ranks.map_batches(_weight_rows, batch_format="pyarrow")
         e_rows = edges.map_batches(_edge_rows, batch_format="pyarrow")
-        contrib = (
-            e_rows.union(w)
-            .map_batches(_tag_part, batch_format="pandas")
-            .groupby("part")
-            .map_groups(_merge_part, batch_format="pandas")
-            .map_batches(_to_carrier, batch_format="pyarrow")
-        )
+        contrib = partitioned_apply(
+            e_rows.union(w), "key", _merge_part, num_parts=num_partitions
+        ).map_batches(_to_carrier, batch_format="pyarrow")
         carrier = ranks.map_batches(_carrier_rows, batch_format="pyarrow")
         merged = (
             carrier.union(contrib)
@@ -563,6 +555,8 @@ def link_mentions_shuffled(mentions, vocab: dict | None = None, num_parts: int =
 
     from ray.data.aggregate import Count
 
+    from .grouping import partitioned_apply
+
     if vocab is None:
         from ..assets import build_vocab
 
@@ -600,26 +594,18 @@ def link_mentions_shuffled(mentions, vocab: dict | None = None, num_parts: int =
     )
     vocab_ds = rd.from_pandas(vocab_df)
 
-    def _tag_part(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df["key"], index=False)
-        df = df.copy()
-        df["part"] = (h % num_parts).astype("int32")
-        return df
-
     def _vocab_shape(df: pd.DataFrame) -> pd.DataFrame:
         out = df.copy()
         for c in ident:
             out[c] = "" if c != "span_idx" else 0
         out["n_copies"] = 0  # marks a vocab row
         out["prio"] = -1
-        return out[[*ident, "n_copies", "key", "prio", "types_joined", "part"]]
+        return out[[*ident, "n_copies", "key", "prio", "types_joined"]]
 
-    km = keyrows.map_batches(_tag_part, batch_format="pandas").map_batches(
+    km = keyrows.map_batches(
         lambda df: df.assign(types_joined=""), batch_format="pandas"
     )
-    vm = vocab_ds.map_batches(_tag_part, batch_format="pandas").map_batches(
-        _vocab_shape, batch_format="pandas"
-    )
+    vm = vocab_ds.map_batches(_vocab_shape, batch_format="pandas")
 
     def _resolve(part: pd.DataFrame) -> pd.DataFrame:
         voc = part[part["n_copies"] == 0]
@@ -634,11 +620,7 @@ def link_mentions_shuffled(mentions, vocab: dict | None = None, num_parts: int =
         men["hit"] = men["types_joined"].notna()
         return men[[*ident, "n_copies", "prio", "types_joined", "hit"]]
 
-    resolved = (
-        km.union(vm)
-        .groupby("part")
-        .map_groups(_resolve, batch_format="pandas")
-    )
+    resolved = partitioned_apply(km.union(vm), "key", _resolve, num_parts=num_parts)
 
     def _pick_part(part: pd.DataFrame) -> pd.DataFrame:
         # whole-partition pick: lowest-prio hit per mention via ONE sort +
@@ -667,8 +649,6 @@ def link_mentions_shuffled(mentions, vocab: dict | None = None, num_parts: int =
             merged.index.repeat(merged["n_copies"].to_numpy())
         ].reset_index(drop=True)
         return out[[*ident, "linked_types", "linked"]]
-
-    from .grouping import partitioned_apply
 
     return partitioned_apply(resolved, ident, _pick_part, num_parts=num_parts)
 
@@ -919,7 +899,7 @@ def build_adjacency(triples, reduce_partitions: int | None = None):
                 }
             )
         part = part.sort_values(
-            ["subj_id", "pred", "obj_id", "doc_id"], kind="mergesort"
+            ["subj_id", "pred", "obj_id"], kind="mergesort"
         ).reset_index(drop=True)
         part["_n"] = [
             {"pred": p, "obj_id": oi, "obj_norm": on}
@@ -3689,6 +3669,8 @@ def _hits_shuffle_regime(edges, nodes, n, iters, tol, num_partitions):
 
     from ray.data.aggregate import Sum
 
+    from .grouping import partitioned_apply
+
     _VEC = pa.schema(
         [("node_id", pa.string()), ("h", pa.float64()), ("a", pa.float64())]
     )
@@ -3714,12 +3696,6 @@ def _hits_shuffle_regime(edges, nodes, n, iters, tol, num_partitions):
         )
 
     vec = nodes.map_batches(_init_vec, batch_format="pyarrow").materialize()
-
-    def _tag_part(df: pd.DataFrame) -> pd.DataFrame:
-        hsh = pd.util.hash_pandas_object(df["key"], index=False)
-        df = df.copy()
-        df["part"] = (hsh % num_partitions).astype("int32")
-        return df
 
     def _merge_part(g: pd.DataFrame) -> pd.DataFrame:
         voc = g[g["is_w"] == 1]
@@ -3774,12 +3750,11 @@ def _hits_shuffle_regime(edges, nodes, n, iters, tol, num_partitions):
                 }
             )
 
+        rows = edges.map_batches(_edge_rows, batch_format="pyarrow").union(
+            vec.map_batches(_weight_rows, batch_format="pyarrow")
+        )
         return (
-            edges.map_batches(_edge_rows, batch_format="pyarrow")
-            .union(vec.map_batches(_weight_rows, batch_format="pyarrow"))
-            .map_batches(_tag_part, batch_format="pandas")
-            .groupby("part")
-            .map_groups(_merge_part, batch_format="pandas")
+            partitioned_apply(rows, "key", _merge_part, num_parts=num_partitions)
             .map_batches(_raw_carrier, batch_format="pyarrow")
             .groupby("node_id")
             .aggregate(Sum("v", alias_name="v"))

@@ -39,7 +39,7 @@ from ..assets import SERVERS_CONFIG, build_entity_map
 from ..backends import default_backends
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..functions.kg import extract_entity_spans, extract_triples
-from ..functions.tagger import ensemble_tag_sentence
+from ..functions.tagger import ensemble_tag_sentence, pos_backend_for
 
 NER_STRUCT = pa.struct(
     [
@@ -85,14 +85,7 @@ class NerTagger:
         self.servers_config = SERVERS_CONFIG
         # POS model state is per-actor (trained/loaded ONCE here, like the
         # descriptor backends), selected by config
-        if config.pos_backend == "perceptron":
-            from ..functions.pos_perceptron import perceptron_pos_terms
-
-            self.pos_backend = perceptron_pos_terms
-        elif config.pos_backend == "heuristic":
-            self.pos_backend = None  # detect_terms falls back to POS-lite
-        else:
-            raise ValueError(f"unknown pos_backend {config.pos_backend!r}")
+        self.pos_backend = pos_backend_for(config.pos_backend)
         # tag_text is a pure function of the sentence text (backends/config
         # are fixed per actor), so identical sentences — boilerplate repeats
         # dominate web corpora — hit this per-actor LRU instead of re-running

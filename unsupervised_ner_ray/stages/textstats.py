@@ -215,12 +215,13 @@ def top_tfidf_terms(docs, scale: int = 1_000_000, broadcast_max_tokens: int = 5_
 def _top_tfidf_distributed(docs, df_ds, scale: int, num_parts: int = 32):
     """At-scale tf-idf scoring when the vocabulary cannot broadcast: df rows
     ship as a dataset and join (tf, df) by co-partitioned union merge on the
-    token hash — df is SHARDED across partitions, never replicated — then one
-    per-doc argmax shuffle.  Two bounded shuffles total over pre-combined
-    rows (tf rows are already one per distinct (doc, token))."""
+    token (one :func:`~.grouping.partitioned_apply` on ``token``) — df is
+    SHARDED across partitions, never replicated — then one per-doc argmax
+    ``partitioned_apply`` on ``doc_id``.  Two bounded shuffles total over
+    pre-combined rows (tf rows are already one per distinct (doc, token))."""
     import numpy as np
 
-    _PART = "__part"
+    from .grouping import partitioned_apply
 
     def _tf_rows(batch: pa.Table) -> pa.Table:
         tf = _tf_pairs(batch).to_pandas()
@@ -250,14 +251,7 @@ def _top_tfidf_distributed(docs, df_ds, scale: int, num_parts: int = 32):
             }
         )
 
-    def _tag_token(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df["token"], index=False)
-        df = df.copy()
-        df[_PART] = (h % num_parts).astype("int32")
-        return df
-
     def _score_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=[_PART])
         dfv = g[g["is_df"] == 1]
         tfv = g[g["is_df"] == 0]
         if tfv.empty or dfv.empty:
@@ -276,14 +270,7 @@ def _top_tfidf_distributed(docs, df_ds, scale: int, num_parts: int = 32):
         m["score"] = m["tf"].to_numpy() * scale // m["df"].to_numpy()
         return m[["doc_id", "token", "tf", "df", "score"]]
 
-    def _tag_doc(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df["doc_id"], index=False)
-        df = df.copy()
-        df[_PART] = (h % num_parts).astype("int32")
-        return df
-
     def _argmax_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=[_PART])
         top = (
             g.sort_values(
                 ["doc_id", "score", "token"],
@@ -296,19 +283,13 @@ def _top_tfidf_distributed(docs, df_ds, scale: int, num_parts: int = 32):
             top[c] = top[c].astype(np.int64)
         return top[["doc_id", "token", "tf", "df", "score"]]
 
-    scored = (
-        docs.map_batches(_tf_rows, batch_format="pyarrow")
-        .union(df_ds.map_batches(_df_rows, batch_format="pyarrow"))
-        .map_batches(_tag_token, batch_format="pandas")
-        .groupby(_PART)
-        .map_groups(_score_part, batch_format="pandas")
+    rows = docs.map_batches(_tf_rows, batch_format="pyarrow").union(
+        df_ds.map_batches(_df_rows, batch_format="pyarrow")
     )
-    return (
-        scored.map_batches(_tag_doc, batch_format="pandas")
-        .groupby(_PART)
-        .map_groups(_argmax_part, batch_format="pandas")
-        .sort("doc_id")
-    )
+    scored = partitioned_apply(rows, "token", _score_part, num_parts=num_parts)
+    return partitioned_apply(
+        scored, "doc_id", _argmax_part, num_parts=num_parts
+    ).sort("doc_id")
 
 
 def deterministic_sample(docs, hex_cutoff: str = "14"):
