@@ -47,7 +47,7 @@ def entry() -> Any:
     docs = corpus_from_sf(SF0001, limit=200).union(
         plain_corpus_from_sf(SF0001, limit=200)
     )
-    cfg = PipelineConfig(tagger_concurrency=4, tagger_batch_size=64)
+    cfg = PipelineConfig(tagger_batch_size=64)
     return run_tagging(docs, cfg)
 
 
@@ -75,7 +75,7 @@ def _tagged(sf_dir: str):
         from unsupervised_ner_ray.config import PipelineConfig
         from unsupervised_ner_ray.pipelines.flagship import run_tagging
 
-        cfg = PipelineConfig(tagger_concurrency=4, tagger_batch_size=64)
+        cfg = PipelineConfig(tagger_batch_size=64)
         _TAGGED_CACHE[sf_dir] = run_tagging(_ner_corpus(sf_dir), cfg).materialize()
     return _TAGGED_CACHE[sf_dir]
 
@@ -186,9 +186,7 @@ def _ner_mlm_dumps(sf_dir: str) -> dict[str, str]:
     from unsupervised_ner_ray.stages.ner import explode_mentions
 
     n_total = read_sf(sf_dir, "documents", columns=["doc_id"]).count()
-    cfg = PipelineConfig(
-        scorer_backend="fixture_mlm", tagger_concurrency=4, tagger_batch_size=32
-    )
+    cfg = PipelineConfig(scorer_backend="fixture_mlm", tagger_batch_size=32)
     tagged = run_tagging(_ner_corpus(sf_dir, limit=200), cfg).materialize()
     paths: dict[str, str] = {}
 

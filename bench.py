@@ -45,9 +45,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     from unsupervised_ner_ray.sources.io import read_sf
     from unsupervised_ner_ray.stages import dedup, relational, textstats
 
-    cfg = PipelineConfig(
-        tagger_concurrency=max(2, num_cpus - 2), tagger_batch_size=64
-    )
+    cfg = PipelineConfig(tagger_batch_size=64)
 
     # warm the page cache so we measure compute + shuffle, not first disk read
     read_sf(sf_dir, "documents").materialize()

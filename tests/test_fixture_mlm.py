@@ -141,7 +141,7 @@ def test_fixture_e2e_oracle_parity(ray_session):
 
     docs_tbl = make_documents(30, seed=11)
     cfg = PipelineConfig(
-        scorer_backend="fixture_mlm", tagger_concurrency=2, tagger_batch_size=8
+        scorer_backend="fixture_mlm", tagger_batch_size=8
     )
     tagged = run_tagging(rd.from_arrow(docs_tbl), cfg).to_pandas()
     eng = sorted(

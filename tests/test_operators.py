@@ -518,7 +518,7 @@ def test_link_mentions_shuffled_matches_broadcast(ray_session):
     from unsupervised_ner_ray.stages.ner import explode_mentions
 
     tagged = run_tagging(
-        docs_dataset_synthetic(60, seed=8), PipelineConfig(tagger_concurrency=2)
+        docs_dataset_synthetic(60, seed=8), PipelineConfig()
     )
     mentions = explode_mentions(tagged).materialize()
 

@@ -50,7 +50,7 @@ def test_sinks_and_harvest(ray_session, tmp_path):
         write_conll,
     )
 
-    cfg = PipelineConfig(tagger_concurrency=2, tagger_batch_size=32)
+    cfg = PipelineConfig(tagger_batch_size=32)
     tagged = run_tagging(docs_dataset_synthetic(10, seed=2, parallelism=2), cfg).materialize()
     conll = tmp_path / "out.conll"
     write_conll(tagged, str(conll))

@@ -9,7 +9,7 @@ import pytest
 from unsupervised_ner_ray.config import PipelineConfig
 from unsupervised_ner_ray.corpus import make_documents
 
-CFG = PipelineConfig(tagger_concurrency=2, tagger_batch_size=32, canon_salt_buckets=4)
+CFG = PipelineConfig(tagger_batch_size=32, canon_salt_buckets=4)
 
 
 @pytest.fixture(scope="module")

@@ -230,11 +230,11 @@ def test_perceptron_config_through_actor_stage(ray_session):
 
     docs = docs_dataset_synthetic(20, seed=6)
     base = run_tagging(
-        docs, PipelineConfig(tagger_concurrency=2)
+        docs, PipelineConfig()
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     perc = run_tagging(
         docs_dataset_synthetic(20, seed=6),
-        PipelineConfig(tagger_concurrency=2, pos_backend="perceptron"),
+        PipelineConfig(pos_backend="perceptron"),
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     # marked/pool corpus: POS backend never consulted -> identical tags
     for a, b in zip(base["ner"], perc["ner"]):

@@ -25,7 +25,8 @@ and 426-432.  Two backends:
   (torch absent in this sandbox).  Only the literal tokenizer/forward calls
   are torch-specific; everything after the forward is the shared base.
 
-All are loaded once per actor (stage ``__init__``), never per batch.
+All are loaded once per tagger (``NerTagger.__init__``, once per worker
+process), never per batch.
 """
 
 from __future__ import annotations
@@ -416,9 +417,9 @@ class HFDescriptorBackend(_BatchedMLMBackend):
     :class:`FixtureMLMBackend`.  This subclass contains ONLY the literal
     torch/transformers calls: tokenizer encode and the no-grad forward.
 
-    Model + tokenizer + vocab are loaded ONCE in ``__init__``; the class is
-    meant to live inside a ``map_batches`` actor (stage constructs it per
-    worker, never per batch).
+    Model + tokenizer + vocab are loaded ONCE in ``__init__``; the class
+    lives inside a worker process's cached ``NerTagger`` (built once per
+    process, never per batch).
     """
 
     def __init__(

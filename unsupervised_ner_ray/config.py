@@ -22,9 +22,9 @@ class PipelineConfig:
     # KG construction
     max_predicate_tokens: int = 5
     canon_salt_buckets: int = 16
-    # Ray execution knobs
+    # largest tagging batch (documents); tag_documents takes the per-CPU
+    # share of the input's rows when that is smaller
     tagger_batch_size: int = 256
-    tagger_concurrency: int = 8
     # descriptor-scorer backend: "mock" (hash mock — fastest, the default
     # benchmark path), "fixture_mlm" (real numpy masked-LM forward: the
     # production backend's exact batched/top-k/signature code shape,
@@ -32,13 +32,14 @@ class PipelineConfig:
     scorer_backend: str = "mock"
     # POS backend for unmarked sentences: "heuristic" (closed-class
     # POS-lite, zero setup) or "perceptron" (averaged-perceptron tagger
-    # trained once per actor from the in-package fixture — better span
+    # trained once per tagger from the in-package fixture — better span
     # precision on plain prose; functions/pos_perceptron.py)
     pos_backend: str = "heuristic"
-    # per-actor LRU over tag_text results: tagging is a pure function of the
-    # sentence text, and web-scale corpora repeat boilerplate sentences
-    # heavily — a hit skips the full mask/score/ensemble pipeline.  Entries
-    # are ~1 KB; 0 disables.
+    # per-tagger LRU over tag_text results, emptied at the start of each
+    # tag_documents call: tagging is a pure function of the sentence text,
+    # and web-scale corpora repeat boilerplate sentences heavily — a hit
+    # skips the full mask/score/ensemble pipeline.  Entries are ~1 KB;
+    # 0 disables.
     sentence_cache_size: int = 65536
 
 

@@ -10,10 +10,15 @@ killed ``ray job submit`` run to resume mid-extraction.  Design:
   ``out/<table>/shard=NNNN/`` — written ATOMICALLY: to a ``.tmp-`` dir first,
   renamed on success.
 * After a shard commits, one JSON line is appended to ``out/_manifest.jsonl``
-  with lineage (shard id, input path, row counts per output table, wall
-  seconds, engine version).  Appending a line is the commit point.
+  with lineage (shard id, input fingerprint, row counts per output table,
+  wall seconds, engine version).  Writing the line's newline is the commit
+  point: a torn last line (a kill during the append) is ignored, and its
+  shard re-runs.
 * Resume = read the manifest, skip completed shards.  A killed run leaves at
-  most one ``.tmp-`` dir, which is removed on restart.
+  most one ``.tmp-`` dir, which is removed on restart.  A resume refuses to
+  run under another input fingerprint (input path, ``num_shards``, and the
+  Parquet file names of a directory input): its shards would hold other
+  documents than the committed ones.
 """
 
 from __future__ import annotations
@@ -29,23 +34,35 @@ def shard_of(doc_id: str, num_shards: int) -> int:
     return zlib.crc32(str(doc_id).encode()) % num_shards
 
 
+def input_files(input_path: str) -> list[str] | None:
+    """Sorted Parquet file names of a directory input; None for a file."""
+    if os.path.isdir(input_path):
+        return sorted(f for f in os.listdir(input_path) if f.endswith(".parquet"))
+    return None
+
+
 def load_manifest(out_dir: str) -> dict[int, dict]:
+    """shard -> its manifest record.  A last line without its newline is
+    torn (a kill during ``append_manifest``) and is ignored."""
     path = os.path.join(out_dir, "_manifest.jsonl")
     done: dict[int, dict] = {}
     if os.path.exists(path):
         with open(path) as fp:
-            for line in fp:
-                line = line.strip()
-                if line:
-                    rec = json.loads(line)
-                    done[rec["shard"]] = rec
+            lines = fp.read().split("\n")[:-1]  # [:-1]: the torn tail, or ""
+        for line in lines:
+            if line.strip():
+                rec = json.loads(line)
+                done[rec["shard"]] = rec
     return done
 
 
 def append_manifest(out_dir: str, record: dict) -> None:
     path = os.path.join(out_dir, "_manifest.jsonl")
-    with open(path, "a") as fp:
-        fp.write(json.dumps(record, sort_keys=True) + "\n")
+    with open(path, "a+b") as fp:
+        # cut a torn last line, so this record starts a line of its own
+        fp.seek(0)
+        fp.truncate(fp.read().rfind(b"\n") + 1)
+        fp.write((json.dumps(record, sort_keys=True) + "\n").encode())
         fp.flush()
         os.fsync(fp.fileno())
 
@@ -86,13 +103,26 @@ def run_checkpointed(
     version: str = "0.1.0",
 ) -> dict:
     """Run ``run_shard_fn(input_path, shard, num_shards) -> {table: Dataset}``
-    per shard, skipping shards already in the manifest.
+    per shard, skipping shards already in the manifest.  Raises ValueError
+    when the manifest was written under another input fingerprint.
 
     Returns {"completed": [...], "skipped": [...], "seconds": total}.
     """
     os.makedirs(out_dir, exist_ok=True)
-    clean_tmp_dirs(out_dir)
+    fingerprint = {
+        "input": input_path,
+        "num_shards": num_shards,
+        "input_files": input_files(input_path),
+    }
     done = load_manifest(out_dir)
+    for rec in done.values():
+        recorded = {k: rec.get(k) for k in fingerprint}
+        if recorded != fingerprint:
+            raise ValueError(
+                f"{out_dir} holds shards of another input: its manifest has "
+                f"{recorded}, this run has {fingerprint}"
+            )
+    clean_tmp_dirs(out_dir)
     completed, skipped = [], []
     t_start = time.time()
     for shard in range(num_shards):
@@ -110,8 +140,7 @@ def run_checkpointed(
             out_dir,
             {
                 "shard": shard,
-                "input": input_path,
-                "num_shards": num_shards,
+                **fingerprint,
                 "rows": rows,
                 "metrics": metrics,
                 "seconds": round(time.time() - t0, 3),

@@ -2,8 +2,9 @@
 
 Engine lifecycle (SURVEY.md §3):
 
-    read_documents -> NerTagger actor pool (tag + triples + mentions, all
-    row-local) -> [tagged-docs sink]
+    read_documents -> NerTagger in stateless tasks, one batch per CPU
+    (per-process tagger cache; tag + triples + mentions, all row-local)
+                -> [tagged-docs sink]
                 -> explode_mentions + link (broadcast join in stateless
                    tasks, per-process vocabulary cache) -> [materialized]
                 -> canonicalize (combiner + salted 2-phase groupby)
@@ -100,15 +101,13 @@ def _shard_input_files(input_path: str, num_shards: int) -> list[list[str]] | No
     hash-filter path)."""
     import os
 
-    if os.path.isdir(input_path):
-        files = sorted(
-            os.path.join(input_path, f)
-            for f in os.listdir(input_path)
-            if f.endswith(".parquet")
-        )
-        if len(files) > 1:
-            return [files[i::num_shards] for i in range(num_shards)]
-    return None
+    from .checkpoint import input_files
+
+    names = input_files(input_path)
+    if names is None or len(names) < 2:
+        return None
+    files = [os.path.join(input_path, f) for f in names]
+    return [files[i::num_shards] for i in range(num_shards)]
 
 
 def run_flagship_checkpointed(

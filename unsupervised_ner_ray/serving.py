@@ -19,11 +19,11 @@ reproduces that wire contract on top of the engine's own tagging core:
   branch (BatchedNerServer.py:42-43).
 
 Serving state is one in-process :class:`~.stages.ner.NerTagger` built once
-at server start — the same backends/emap/POS state an actor-pool worker
-builds in ``__init__`` — so a served response is byte-identical to what the
+at server start — the same backends/emap/POS state each tagging worker
+process builds once in ``NerTagger.__init__`` — so a served response is byte-identical to what the
 batch pipeline computes for the same sentence (pinned by
 tests/test_serving.py).  For a real deployment this handler would sit
-behind an actor pool (Ray Serve's deployment shape); the sandbox has no
+behind a pool of replicas (Ray Serve's deployment shape); the sandbox has no
 Serve dependency, so the smoke uses the threaded stdlib server the
 reference itself uses.
 """

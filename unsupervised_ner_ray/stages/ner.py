@@ -1,24 +1,23 @@
 """Ray Data stages for the NER tagging core.
 
-``NerTagger`` is the engine's one tagging stage: a callable class used as
-
-    docs.map_batches(NerTagger, batch_format="pyarrow",
-                     batch_size=cfg.tagger_batch_size,
-                     concurrency=cfg.tagger_concurrency, num_cpus=1)
-
-Both model backends + the entity map + vocabulary are built ONCE per actor in
-``__init__`` (the engine analog of the reference's per-process UnsupNER
-singleton state, /root/reference/batched_main_NER.py:68-87 and
-BatchedNerServer.py:27-29); ``__call__`` tags every text span of every
-document in the batch row-locally, scoring each sentence with both models
-and resolving the ensemble in the same pass.  No shuffle is involved
-anywhere in tagging — a sentence's masked variants, descriptor
-predictions, pooling and BIO emission never leave the row (SURVEY.md §2.5: these are row-local
+``NerTagger`` is the engine's one tagging stage.  ``tag_documents`` runs it
+in stateless ``map_batches`` tasks (``_tag_batch``, one CPU each); every
+worker process keeps its tagger in a small module-level cache keyed by the
+frozen ``PipelineConfig``, so both model backends + the entity map +
+vocabulary + POS model are built ONCE per process (the engine analog of the
+reference's per-process UnsupNER singleton state, its
+batched_main_NER.py:68-87 and BatchedNerServer.py:27-29).
+``__call__`` tags every text span of every document in the batch
+row-locally, scoring each sentence with both models and resolving the
+ensemble in the same pass.  No shuffle is involved anywhere in tagging — a
+sentence's masked variants, descriptor predictions, pooling and BIO
+emission never leave the row (SURVEY.md §2.5: these are row-local
 computations, not distributed aggregations).
 
 The per-sentence work is irreducibly Python (ordered-dict semantics are the
 conformance contract), so the batch loop is the vectorization boundary; the
-stage scales by data parallelism across actors.
+stage scales by data parallelism across tasks, with batches sized so that
+every CPU of the cluster gets one.
 
 Output schema (one row per input document):
     doc_id: string
@@ -32,6 +31,9 @@ Output schema (one row per input document):
 """
 
 from __future__ import annotations
+
+import uuid
+from collections import OrderedDict
 
 import pyarrow as pa
 
@@ -74,21 +76,19 @@ QUARANTINE_STRUCT = pa.struct(
 
 
 class NerTagger:
-    """Actor-pool stage: interleaved documents -> tagged documents."""
+    """Tagging stage: interleaved documents -> tagged documents."""
 
     def __init__(self, config: PipelineConfig = DEFAULT_CONFIG):
-        from collections import OrderedDict
-
         self.config = config
         self.emap = build_entity_map()
         self.backends = default_backends(config.top_k_descs, config.scorer_backend)
         self.servers_config = SERVERS_CONFIG
-        # POS model state is per-actor (trained/loaded ONCE here, like the
+        # POS model state is per-tagger (trained/loaded ONCE here, like the
         # descriptor backends), selected by config
         self.pos_backend = pos_backend_for(config.pos_backend)
         # tag_text is a pure function of the sentence text (backends/config
-        # are fixed per actor), so identical sentences — boilerplate repeats
-        # dominate web corpora — hit this per-actor LRU instead of re-running
+        # are fixed per tagger), so identical sentences — boilerplate repeats
+        # dominate web corpora — hit this LRU instead of re-running
         # mask/score/ensemble.  Consumers only READ the cached dict.
         self._cache: "OrderedDict[str, dict]" = OrderedDict()
         self._cache_max = config.sentence_cache_size
@@ -180,17 +180,48 @@ class NerTagger:
         )
 
 
+_MAX_TAGGERS = 4  # configs whose tagger a worker process keeps
+_TAGGERS: OrderedDict = OrderedDict()  # config -> (run_id, NerTagger)
+
+
+def _tagger(config: PipelineConfig, run_id: str) -> NerTagger:
+    """This process's tagger for ``config``, built once.  Its sentence cache
+    is emptied when a new ``tag_documents`` call (``run_id``) reaches it, so
+    no hit is ever served across two calls."""
+    if config in _TAGGERS:
+        last_run, tagger = _TAGGERS.pop(config)
+        if last_run != run_id:
+            tagger._cache.clear()
+    else:
+        tagger = NerTagger(config)
+        if len(_TAGGERS) >= _MAX_TAGGERS:
+            _TAGGERS.popitem(last=False)
+    _TAGGERS[config] = (run_id, tagger)
+    return tagger
+
+
+def _tag_batch(batch: pa.Table, config: PipelineConfig, run_id: str) -> pa.Table:
+    return _tagger(config, run_id)(batch)
+
+
 def tag_documents(docs, config: PipelineConfig = DEFAULT_CONFIG):
-    """documents Dataset -> tagged Dataset (streaming, actor pool)."""
-    # autoscaling pool (1, N): never reserves every CPU, so downstream
-    # groupby/write tasks aren't starved (a fixed pool == num_cpus would
-    # serialize the pipeline)
+    """documents Dataset -> tagged Dataset (streaming, stateless tasks).
+
+    Batches hold ``ceil(rows / cluster CPUs)`` documents, at most
+    ``config.tagger_batch_size``, so every CPU gets one.  ``rows`` is read
+    only where Ray knows it without executing the input (in-memory blocks,
+    Parquet metadata); otherwise batches take the maximum size."""
+    from .kg import cluster_cpus
+
+    rows = docs._meta_count()
+    batch_size = config.tagger_batch_size
+    if rows is not None:
+        batch_size = max(1, min(batch_size, -(-rows // cluster_cpus())))
     return docs.map_batches(
-        NerTagger,
-        fn_constructor_kwargs={"config": config},
+        _tag_batch,
+        fn_kwargs={"config": config, "run_id": uuid.uuid4().hex},
         batch_format="pyarrow",
-        batch_size=config.tagger_batch_size,
-        concurrency=(1, config.tagger_concurrency),
+        batch_size=batch_size,
         num_cpus=1,
     )
 
