@@ -168,7 +168,8 @@ def _ner_mlm_dumps(sf_dir: str) -> dict[str, str]:
     """Same dump-and-hash-pin pattern as :func:`_ner_dumps`, but the corpus
     is tagged with ``scorer_backend="fixture_mlm"`` — the REAL model-backend
     code path (backends.FixtureMLMBackend via the shared _BatchedMLMBackend
-    base: batched padded forward, mask-position top-k, signature attach).
+    base: padded forward over the masked rows, logits and top-k at the mask
+    position, signature attach).
     Driver-certifying these dumps certifies the production backend shape,
     not just the hash mock.  Smaller corpus slice (the real forward is ~5x
     the mock's cost per sentence)."""

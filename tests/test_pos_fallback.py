@@ -219,9 +219,9 @@ def test_perceptron_backend_through_tagger():
 
 def test_perceptron_config_through_actor_stage(ray_session):
     """pos_backend='perceptron' flows through PipelineConfig into the
-    NerTagger actor pool (model trained once per actor in __init__); marked
-    corpora produce byte-identical output to the default config, since
-    markers bypass the POS backend."""
+    NerTagger tagging tasks (model trained once per worker process in
+    __init__); marked corpora produce byte-identical output to the default
+    config, since markers bypass the POS backend."""
     from unsupervised_ner_ray.config import PipelineConfig
     from unsupervised_ner_ray.pipelines.flagship import (
         docs_dataset_synthetic,

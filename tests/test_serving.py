@@ -7,13 +7,16 @@ the D13 per-model wire shape the reference's JSON servers emit; (2) the
 /ensemble endpoint matches ensemble_tag_sentence; (3) the reference's
 path-mangling contract (API segment stripped, URL unquote, favicon skip,
 empty -> "0").  No Ray session needed: serving state is the same
-in-process NerTagger an actor-pool worker builds.
+in-process NerTagger each tagging worker process builds.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import threading
+from collections import OrderedDict
 import urllib.parse
 import urllib.request
 
@@ -106,3 +109,32 @@ def test_serving_fixture_mlm_backend():
     # repeat through the cache-backed ensemble path too
     ens = json.loads(svc.ensemble_json(SENTENCE_POOL[0]))
     assert "ensembled_ner" in ens
+
+
+class _EvictOnGet(OrderedDict):
+    """A sentence cache whose ``get`` is followed at once by another request
+    thread evicting the same key — the interleaving that reaches the hit
+    path's ``move_to_end`` with the key already gone."""
+
+    def get(self, key, default=None):
+        hit = super().get(key, default)
+        self.pop(key, None)
+        return hit
+
+
+def test_tag_text_hit_survives_concurrent_eviction():
+    tagger = NerTagger(PipelineConfig())
+    sent = "Aspirin treats pain ."
+    first = tagger.tag_text(sent)
+    tagger._cache = _EvictOnGet(tagger._cache)
+    assert tagger.tag_text(sent) is first
+
+
+def test_serving_import_does_not_load_pyarrow():
+    """The server builds no Arrow table, so importing it leaves pyarrow
+    unloaded (it costs start-up time)."""
+    code = "import sys, unsupervised_ner_ray.serving; print('pyarrow' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

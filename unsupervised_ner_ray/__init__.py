@@ -16,9 +16,11 @@ semantics only) on top of ``ray.data.Dataset`` pipelines:
 * large-scale training-data operators: exact/MinHash/SimHash dedup,
   similarity search, language ID, quality scoring, token stats.
 
-Everything runs as batch transforms over zero-copy Arrow blocks; stateful
-stages are actor pools; the only shuffles are the documented groupbys in the
-KG/dedup stages.
+Everything runs as batch transforms over zero-copy Arrow blocks.  The
+tagging and entity-linking stages are stateless tasks that build their model
+state once per worker process; some operator stages (text statistics,
+dedup, relational joins, media decode) are actor pools.  The only shuffles
+are the documented groupbys in the KG/dedup stages.
 """
 
 __version__ = "0.1.0"

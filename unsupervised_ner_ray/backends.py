@@ -18,9 +18,10 @@ and 426-432.  Two backends:
   disagree and exercises every ensemble-resolution branch.
 * ``FixtureMLMBackend`` — a REAL (numpy-only) masked-LM: a tiny fixed-weight
   bidirectional transformer over the labeled vocabulary.  It runs the exact
-  batched-padded-forward / first-mask-position / softmax-top-k /
-  signature-attach code path of the production backend in-sandbox, because
-  that path lives in the shared ``_BatchedMLMBackend`` base.
+  masked-rows-only padded forward / first-mask-position logits /
+  softmax-top-k / signature-attach code path of the production backend
+  in-sandbox, because that path lives in the shared ``_BatchedMLMBackend``
+  base.
 * ``HFDescriptorBackend`` — optional HuggingFace masked-LM path, import-gated
   (torch absent in this sandbox).  Only the literal tokenizer/forward calls
   are torch-specific; everything after the forward is the shared base.
@@ -31,6 +32,7 @@ process), never per batch.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Protocol
 
@@ -166,28 +168,33 @@ class _BatchedMLMBackend:
     reference consumes from its external bert_descriptors repo
     (/root/reference/batched_main_NER.py:264-269, 557-562): the
     ``__entity__`` mask slot becomes the model's mask token, ONE padded
-    forward pass per batch yields logits, each sentence's FIRST mask
-    position supplies its descriptors (the reference masks exactly one span
-    per sentence copy), the top-k vocabulary tokens become the ordered
-    descriptors (``v`` = softmax probability rounded to 4 dp, the
-    reference's score rounding), and each descriptor term is annotated with
-    its entity signature from the labeled vocabulary (``e``/``e_count``,
-    D15) — the fused entity-server lookup.
+    forward pass per batch — over only the rows whose encoding still holds
+    a mask token — yields each row's logits at its FIRST mask position (the
+    reference masks exactly one span per sentence copy), the top-k
+    vocabulary tokens become the ordered descriptors (``v`` = softmax
+    probability rounded to 4 dp, the reference's score rounding), and each
+    descriptor term is annotated with its entity signature from the labeled
+    vocabulary (``e``/``e_count``, D15) — the fused entity-server lookup.
+    A row without a mask token (every CI row, or a mask truncated away)
+    gets ``[]`` and costs no forward work.
 
     Subclasses supply ONLY tokenization and the forward:
 
     * attributes ``mask_token`` (str), ``mask_token_id`` (int)
     * ``_encode_batch(texts) -> enc`` where ``enc["input_ids"]`` is an
       int (B, L) numpy array (subclasses may stash framework tensors too)
-    * ``_forward_numpy(enc) -> (B, L, V)`` float numpy logits
+    * ``_forward_numpy(enc) -> (B', V)`` float numpy logits at the mask
+      position, where ``enc`` holds the B' masked rows: ``input_ids``
+      (B', L), ``mask_pos`` (B',) each row's first mask position, and
+      ``rows`` (B',) their indices in the encoded batch
     * ``_decode_token(token_id) -> str``
 
-    Everything after the forward (mask-position scan, softmax, top-k with
-    deterministic index tie-break, signature attach, the numeric
-    short-circuit, single/batched predict) is numpy and SHARED — the
-    in-sandbox :class:`FixtureMLMBackend` therefore executes the identical
-    code path the torch-backed :class:`HFDescriptorBackend` uses; only the
-    literal tokenizer/forward calls differ.
+    Everything after the forward (softmax, top-k with deterministic index
+    tie-break, signature attach, the numeric short-circuit, single/batched
+    predict) is numpy and SHARED — the in-sandbox
+    :class:`FixtureMLMBackend` therefore executes the identical code path
+    the torch-backed :class:`HFDescriptorBackend` uses; only the literal
+    tokenizer/forward calls differ.
     """
 
     name: str
@@ -198,41 +205,60 @@ class _BatchedMLMBackend:
         subtypes, counts = self.vocab.get(term, (["UNTAGGED_ENTITY"], [1]))
         return "/".join(subtypes), "/".join(str(c) for c in counts)
 
-    def _descs_from_probs(self, probs: np.ndarray) -> list[dict]:
-        k = min(self.top_k, len(probs))
-        # prob desc, token-id asc on ties — deterministic across runs
-        order = np.lexsort((np.arange(len(probs)), -probs))[:k]
-        out = []
-        for i in order:
-            term = self._decode_token(int(i))
-            e, e_count = self._signature(term)
-            out.append(
-                {
-                    "desc": term,
-                    "v": round(float(probs[i]), 4),
-                    "e": e,
-                    "e_count": e_count,
-                }
-            )
-        return out
+    @functools.cached_property
+    def _token_info(self) -> dict[int, tuple[str, str, str]]:
+        """token id -> (term, e, e_count), filled as ids are first emitted.
+        Serving threads share it; two that miss the same id store equal
+        values, so no lock is needed."""
+        return {}
+
+    def _descs_from_probs(self, probs: np.ndarray) -> list[list[dict]]:
+        """(B, V) probabilities -> each row's top-k descriptors, ordered by
+        probability descending, token id ascending on ties."""
+        B, V = probs.shape
+        k = min(self.top_k, V)
+        if k == 0:
+            return [[] for _ in range(B)]
+        # every token at or above its row's k-th largest probability is a
+        # candidate, ties at the boundary included, so the exact order
+        # below picks the same k tokens a full sort would
+        kth = np.partition(probs, V - k, axis=1)[:, V - k]
+        rows, ids = np.nonzero(probs >= kth[:, None])
+        p = probs[rows, ids]
+        order = np.lexsort((ids, -p, rows))
+        counts = np.bincount(rows, minlength=B)
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        keep = order[rank < k]
+        info = self._token_info
+        descs = []
+        for t, v in zip(ids[keep].tolist(), p[keep].tolist()):
+            hit = info.get(t)
+            if hit is None:
+                term = self._decode_token(t)
+                hit = info[t] = (term, *self._signature(term))
+            descs.append({"desc": hit[0], "v": round(v, 4), "e": hit[1], "e_count": hit[2]})
+        return [descs[i : i + k] for i in range(0, B * k, k)]
 
     def predict_many(self, masked_sentences: list[str]) -> list[list[dict]]:
-        """One padded forward pass for a batch of masked sentences."""
+        """One padded forward pass over the masked rows of a batch."""
         texts = [
             s.replace("__entity__", self.mask_token) for s in masked_sentences
         ]
         enc = self._encode_batch(texts)
-        logits = self._forward_numpy(enc)
         ids = enc["input_ids"]
-        results: list[list[dict]] = []
-        for row in range(len(texts)):
-            pos = np.nonzero(ids[row] == self.mask_token_id)[0]
-            if len(pos) == 0:  # mask truncated away -> degraded empty result
-                results.append([])
-                continue
-            lr = logits[row, int(pos[0])].astype(np.float64)
-            ex = np.exp(lr - lr.max())
-            results.append(self._descs_from_probs(ex / ex.sum()))
+        is_mask = ids == self.mask_token_id
+        rows = np.flatnonzero(is_mask.any(axis=1))
+        results: list[list[dict]] = [[] for _ in texts]
+        if len(rows) == 0:
+            return results
+        logits = self._forward_numpy(
+            dict(enc, input_ids=ids[rows], rows=rows,
+                 mask_pos=is_mask[rows].argmax(axis=1))
+        ).astype(np.float64)
+        ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = ex / ex.sum(axis=1, keepdims=True)
+        for row, descs in zip(rows.tolist(), self._descs_from_probs(probs)):
+            results[row] = descs
         return results
 
     def _dummy_descs(self) -> list[dict]:
@@ -282,8 +308,8 @@ class FixtureMLMBackend(_BatchedMLMBackend):
     transformer (word-level tokenizer over the labeled vocabulary, one
     self-attention layer + FFN with layer norms, tied input/output
     embeddings) that executes the FULL production-backend code shape
-    in-sandbox — batched padded forward, first-mask-position logits,
-    softmax top-k, signature attach — via the shared
+    in-sandbox — batched padded forward over the masked rows, logits at
+    the first mask position, softmax top-k, signature attach — via the shared
     :class:`_BatchedMLMBackend` base.  No torch.
 
     The embedding table is subtype-structured: each vocab term's row is its
@@ -393,16 +419,20 @@ class FixtureMLMBackend(_BatchedMLMBackend):
         d = self.dim
         pad = ids == self.pad_token_id  # (B, L) key mask
         h0 = self.E[ids] + self.P[:L]
-        q, k, v = h0 @ self.Wq, h0 @ self.Wk, h0 @ self.Wv
-        att = (q @ k.transpose(0, 2, 1)) / np.sqrt(d)  # (B, L, L)
-        att = np.where(pad[:, None, :], -1e9, att)  # padded keys never attend
+        # keys/values span the whole row; everything else is needed only at
+        # the mask position, the one position whose logits are read
+        k, v = h0 @ self.Wk, h0 @ self.Wv
+        hm = h0[np.arange(B), enc["mask_pos"]]  # (B, d)
+        q = hm @ self.Wq
+        att = (q[:, None, :] @ k.transpose(0, 2, 1))[:, 0] / np.sqrt(d)  # (B, L)
+        att = np.where(pad, -1e9, att)  # padded keys never attend
         att = att - att.max(axis=-1, keepdims=True)
         a = np.exp(att)
         a = a / a.sum(axis=-1, keepdims=True)
-        h1 = self._ln(h0 + (a @ v) @ self.Wo)
+        h1 = self._ln(hm + (a[:, None, :] @ v)[:, 0] @ self.Wo)
         h2 = self._ln(h1 + np.maximum(h1 @ self.W1, 0.0) @ self.W2)
-        logits = h2 @ self.E.T  # tied embeddings
-        logits[:, :, : self.unk_token_id + 1] = -1e9  # never emit specials
+        logits = h2 @ self.E.T  # tied embeddings, (B, V)
+        logits[:, : self.unk_token_id + 1] = -1e9  # never emit specials
         return logits
 
 
@@ -411,8 +441,8 @@ class HFDescriptorBackend(_BatchedMLMBackend):
     in this sandbox, so construction raises NotImplementedError here and
     the tests for it are ``pytest.importorskip``-gated).
 
-    All post-forward logic (mask scan, softmax top-k, signature attach,
-    numeric short-circuit, batched predict) is the shared
+    All logic around the forward (masked-row selection, softmax top-k,
+    signature attach, numeric short-circuit, batched predict) is the shared
     :class:`_BatchedMLMBackend` base — exercised in-sandbox through
     :class:`FixtureMLMBackend`.  This subclass contains ONLY the literal
     torch/transformers calls: tokenizer encode and the no-grad forward.
@@ -462,9 +492,11 @@ class HFDescriptorBackend(_BatchedMLMBackend):
 
     def _forward_numpy(self, enc: dict):  # pragma: no cover
         torch = self._torch
+        rows = torch.as_tensor(enc["rows"], device=self.device)
         with torch.no_grad():
-            logits = self.model(**enc["_pt"]).logits
-        return logits.cpu().numpy()
+            logits = self.model(**{n: t[rows] for n, t in enc["_pt"].items()}).logits
+        pos = torch.as_tensor(enc["mask_pos"], device=self.device)
+        return logits[torch.arange(len(rows), device=self.device), pos].cpu().numpy()
 
     def _decode_token(self, token_id: int) -> str:  # pragma: no cover
         return self.tokenizer.decode([token_id]).strip().lower()

@@ -8,9 +8,9 @@ POS tagger (the standard public algorithm — greedy left-to-right, per-token
 feature vector over word shape / affixes / context, perceptron updates with
 weight averaging) trained at first use on the small hand-tagged PTB-style
 corpus below.  Training is deterministic (seeded per-epoch shuffle)
-and takes ~200 ms; the trained model is cached per process, and inside a
-Ray actor-pool stage it trains once per actor in ``__init__`` exactly like
-any other model backend.
+and takes ~200 ms; the trained model is cached per process, so the tagging
+tasks train it once per worker process, in the cached ``NerTagger``'s
+``__init__``, exactly like any other model backend.
 
 Why this beats the heuristic on plain prose: the heuristic can only RESET
 closed-class words, so every unknown VERB is tagged NN and glues adjacent

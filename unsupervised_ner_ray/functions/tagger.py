@@ -76,10 +76,12 @@ def tag_sentence(
         else agg.aggregate_entities
     )
     # ALL of this sentence's masked copies (ci + cs per span) go to the
-    # backend in one predict_batch call — one padded forward pass for model
-    # backends, the reference's batched-service shape
-    # (batched_main_NER.py:264-269).  A sentence with no masked spans makes
-    # no call, so no empty forward pass runs.
+    # backend in one predict_batch call, the reference's batched-service
+    # shape (batched_main_NER.py:264-269).  Model backends run one padded
+    # forward pass over the copies whose encoding holds a mask token (the
+    # cs copies; a ci copy has none) and read logits only at the mask
+    # position.  A sentence with no masked spans makes no call, so no
+    # empty forward pass runs.
     batched: list[list[dict]] = []
     if masked_sent_arr:
         sents, phs, modes = [], [], []

@@ -32,10 +32,10 @@ Output schema (one row per input document):
 
 from __future__ import annotations
 
+import functools
 import uuid
 from collections import OrderedDict
-
-import pyarrow as pa
+from typing import TYPE_CHECKING
 
 from ..assets import SERVERS_CONFIG, build_entity_map
 from ..backends import default_backends
@@ -43,36 +43,46 @@ from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..functions.kg import extract_entity_spans, extract_triples
 from ..functions.tagger import ensemble_tag_sentence, pos_backend_for
 
-NER_STRUCT = pa.struct(
-    [
-        ("span_idx", pa.int32()),
-        ("tokens", pa.list_(pa.string())),
-        ("tags", pa.list_(pa.string())),
-        ("bio_tags", pa.list_(pa.string())),
-        ("phi_tags", pa.list_(pa.string())),
-    ]
-)
-TRIPLE_STRUCT = pa.struct(
-    [
-        ("span_idx", pa.int32()),
-        ("subj", pa.string()),
-        ("subj_type", pa.string()),
-        ("pred", pa.string()),
-        ("obj", pa.string()),
-        ("obj_type", pa.string()),
-    ]
-)
-MENTION_STRUCT = pa.struct(
-    [
-        ("span_idx", pa.int32()),
-        ("surface", pa.string()),
-        ("etype", pa.string()),
-    ]
-)
-HARVEST_STRUCT = pa.struct([("term", pa.string()), ("label", pa.string())])
-QUARANTINE_STRUCT = pa.struct(
-    [("span_idx", pa.int32()), ("error", pa.string())]
-)
+if TYPE_CHECKING:  # annotations only; pyarrow is imported where tables are built
+    import pyarrow as pa
+
+
+@functools.cache
+def _structs() -> dict:
+    """The tagged table's Arrow struct types.  Built on first use, so the
+    serving process, which never builds a table, does not import pyarrow."""
+    import pyarrow as pa
+
+    return {
+        "ner": pa.struct(
+            [
+                ("span_idx", pa.int32()),
+                ("tokens", pa.list_(pa.string())),
+                ("tags", pa.list_(pa.string())),
+                ("bio_tags", pa.list_(pa.string())),
+                ("phi_tags", pa.list_(pa.string())),
+            ]
+        ),
+        "triples": pa.struct(
+            [
+                ("span_idx", pa.int32()),
+                ("subj", pa.string()),
+                ("subj_type", pa.string()),
+                ("pred", pa.string()),
+                ("obj", pa.string()),
+                ("obj_type", pa.string()),
+            ]
+        ),
+        "mentions": pa.struct(
+            [
+                ("span_idx", pa.int32()),
+                ("surface", pa.string()),
+                ("etype", pa.string()),
+            ]
+        ),
+        "harvest": pa.struct([("term", pa.string()), ("label", pa.string())]),
+        "quarantine": pa.struct([("span_idx", pa.int32()), ("error", pa.string())]),
+    }
 
 
 class NerTagger:
@@ -97,7 +107,10 @@ class NerTagger:
         if self._cache_max:
             hit = self._cache.get(text)
             if hit is not None:
-                self._cache.move_to_end(text)
+                try:
+                    self._cache.move_to_end(text)
+                except KeyError:  # another request thread evicted it
+                    pass
                 return hit
         res = ensemble_tag_sentence(
             text, self.backends, self.emap,
@@ -112,6 +125,8 @@ class NerTagger:
         return res
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import pyarrow as pa
+
         spans_col = batch.column("spans").to_pylist()
         ner_rows, triple_rows, mention_rows = [], [], []
         harvest_rows, quarantine_rows = [], []
@@ -167,15 +182,16 @@ class NerTagger:
             mention_rows.append(mention_r)
             harvest_rows.append(harvest_r)
             quarantine_rows.append(quar_r)
+        st = _structs()
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
                 "spans": batch.column("spans"),  # passthrough: invariant
-                "ner": pa.array(ner_rows, pa.list_(NER_STRUCT)),
-                "triples": pa.array(triple_rows, pa.list_(TRIPLE_STRUCT)),
-                "mentions": pa.array(mention_rows, pa.list_(MENTION_STRUCT)),
-                "harvest": pa.array(harvest_rows, pa.list_(HARVEST_STRUCT)),
-                "quarantine": pa.array(quarantine_rows, pa.list_(QUARANTINE_STRUCT)),
+                "ner": pa.array(ner_rows, pa.list_(st["ner"])),
+                "triples": pa.array(triple_rows, pa.list_(st["triples"])),
+                "mentions": pa.array(mention_rows, pa.list_(st["mentions"])),
+                "harvest": pa.array(harvest_rows, pa.list_(st["harvest"])),
+                "quarantine": pa.array(quarantine_rows, pa.list_(st["quarantine"])),
             }
         )
 
@@ -232,6 +248,8 @@ def explode_triples(tagged):
     Stateless map_batches (1->N rows); ids are content-addressed
     (functions/kg.entity_id) so no shuffle or id service is needed.
     """
+    import pyarrow as pa
+
     from ..functions.kg import entity_id, normalize_surface
 
     def _explode(batch: pa.Table) -> pa.Table:
@@ -278,6 +296,8 @@ def explode_triples(tagged):
 def explode_mentions(tagged):
     """Tagged docs -> flat mentions table (doc_id, span_idx, surface, etype,
     surface_norm, mention entity id)."""
+    import pyarrow as pa
+
     from ..functions.kg import entity_id, normalize_surface
 
     def _explode(batch: pa.Table) -> pa.Table:
@@ -338,6 +358,7 @@ def ner_eval(mentions, labels=None):
     """
     import numpy as np
     import pandas as pd
+    import pyarrow as pa
     import ray
     from ray.data.aggregate import Sum
 
